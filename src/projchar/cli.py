@@ -168,16 +168,21 @@ def _cmd_invariance_check(args: argparse.Namespace) -> int:
     ring = projclass.chern_ring(args.n)
     poly = parse_poly(args.polynomial, ring.c_ring)
     audit = []
-    invariant = True
+    rewrites = []
     for w, comp in poly.homogeneous_components().items():
-        ok = projclass.is_shift_invariant(projclass.ChernExpression(ring, comp, w))
+        rewrite = projclass.rewrite_in_z(projclass.ChernExpression(ring, comp, w))
+        ok = rewrite is not None
         audit.append(f"weight {w} component: {'invariant' if ok else 'not invariant'}")
-        invariant = invariant and ok
+        rewrites.append(rewrite)
     if poly.is_zero():
         audit.append("zero polynomial is trivially invariant")
+    invariant = all(r is not None for r in rewrites)
     z_text: Optional[str] = None
     if invariant:
-        z_text = projclass.express_c_poly_in_z(ring, poly).to_text()
+        z_poly = RationalPoly.zero(ring.z_ring)
+        for r in rewrites:
+            z_poly = z_poly + r.poly
+        z_text = z_poly.to_text()
     lines = [f"invariant: {'yes' if invariant else 'no'}"]
     if z_text is not None:
         lines.append(f"z-expression: {z_text}")

@@ -4,16 +4,23 @@ Everything here reduces to exact identities between symmetric functions of
 formal Chern roots x_1..x_n.  The classes unchanged by the twist
 x_i -> x_i + d (tensoring with a line bundle) form a polynomial algebra on
 canonical generators: the elementary symmetric functions z_k of the
-difference roots y_i = n*x_i - (x_1 + ... + x_n).  This module computes
-those generators, rewrites twist-invariant classes in terms of them,
-derives the reduction identity a_k = P + lambda * c_k, and enumerates
-related Chern classes (endomorphism bundles, Hom bundles of flags) and
-generator catalogs.
+difference roots y_i = n*x_i - (x_1 + ... + x_n).
+
+One identity does the work: the twist x_i -> x_i + f sends c_k to
+sum_i C(n-i, k-i) * c_i * f^(k-i).  Twisting by f = -c_1/n moves the roots
+to y_i/n, so z_k is n^k times the twisted c_k.  A twist-invariant class p
+equals its value in that traceless frame, p(0, z_2/n^2, ..., z_n/n^n),
+which is therefore its rewrite in the z_k; p is invariant exactly when
+that normal form, expanded back through z_k(c), returns p.  Twisting back
+by +c_1/n gives the reduction identity a_k = P + lambda * c_k in closed
+form.  The module also enumerates related Chern classes (endomorphism
+bundles, Hom bundles of flags) and generator catalogs.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -24,6 +31,7 @@ from .qpoly import (
     Variable,
     elementary_symmetric_all,
     express_in_elementary,
+    first_difference,
     linear_solve,
     make_ring,
 )
@@ -36,10 +44,12 @@ __all__ = [
     "ReductionData",
     "FlagType",
     "chern_ring",
+    "twist",
     "y_roots",
     "z_basis",
     "expand_to_roots",
     "is_shift_invariant",
+    "rewrite_in_z",
     "express_in_z",
     "express_c_poly_in_z",
     "lambda_p",
@@ -54,7 +64,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChernRing:
-    """Symbol table for a fixed rank: roots x_i, classes c_i, shift d, generators z_k."""
+    """Symbol table for a fixed rank: roots x_i, classes c_i, generators z_k."""
 
     rank: int
 
@@ -75,16 +85,8 @@ class ChernRing:
         return tuple(Variable(f"z{k}", k) for k in range(2, self.rank + 1))
 
     @cached_property
-    def shift_var(self) -> Variable:
-        return Variable("d")
-
-    @cached_property
     def root_ring(self) -> tuple[Variable, ...]:
         return make_ring(*self.root_vars)
-
-    @cached_property
-    def shift_ring(self) -> tuple[Variable, ...]:
-        return make_ring(*self.root_vars, self.shift_var)
 
     @cached_property
     def c_ring(self) -> tuple[Variable, ...]:
@@ -176,6 +178,26 @@ class FlagType:
 # -- canonical generators ------------------------------------------------------
 
 
+def twist(values: Sequence[Any], f: Any, one: Any) -> list[Any]:
+    """Chern classes c'_1..c'_n after the twist x_i -> x_i + f of the roots.
+
+    values holds c_1..c_n in any commutative coefficient ring supporting +,
+    * and integer multiples; one is its unit.  The closed form is
+    c'_k = sum_{i=0..k} C(n-i, k-i) * c_i * f^(k-i) with c_0 = one.
+    """
+    n = len(values)
+    powers = [one, f]
+    for _ in range(2, n + 1):
+        powers.append(powers[-1] * f)
+    out = []
+    for k in range(1, n + 1):
+        acc = math.comb(n, k) * powers[k]
+        for i in range(1, k):
+            acc = acc + math.comb(n - i, k - i) * values[i - 1] * powers[k - i]
+        out.append(acc + values[k - 1])
+    return out
+
+
 def y_roots(ring: ChernRing) -> tuple[RationalPoly, ...]:
     """The difference roots y_i = n*x_i - (x_1 + ... + x_n); their sum is zero."""
     gens = [RationalPoly.gen(ring.root_ring, v) for v in ring.root_vars]
@@ -183,12 +205,6 @@ def y_roots(ring: ChernRing) -> tuple[RationalPoly, ...]:
     for gpoly in gens:
         total = total + gpoly
     return tuple(ring.rank * gpoly - total for gpoly in gens)
-
-
-@lru_cache(maxsize=None)
-def _y_esp(n: int) -> tuple[RationalPoly, ...]:
-    ring = chern_ring(n)
-    return tuple(elementary_symmetric_all(list(y_roots(ring)), ring.root_ring))
 
 
 @lru_cache(maxsize=None)
@@ -200,10 +216,11 @@ def _root_esp(n: int) -> tuple[RationalPoly, ...]:
 
 @lru_cache(maxsize=None)
 def _z_poly(n: int, k: int) -> RationalPoly:
+    # the twist by -c1/n sends x_i to y_i/n, so e_k(y) = n^k * c'_k
     ring = chern_ring(n)
-    return express_in_elementary(
-        _y_esp(n)[k], ring.root_vars, target_vars=ring.chern_vars
-    )
+    c = [RationalPoly.gen(ring.c_ring, v) for v in ring.chern_vars]
+    one = RationalPoly.const(ring.c_ring, 1)
+    return n**k * twist(c, c[0] * Fraction(-1, n), one)[k - 1]
 
 
 def z_basis(ring: ChernRing, k: int) -> ChernExpression:
@@ -220,82 +237,42 @@ def expand_to_roots(ring: ChernRing, poly: RationalPoly) -> RationalPoly:
     return poly.substitute(bindings, target_ring=ring.root_ring)
 
 
-def _shifted(ring: ChernRing, root_poly: RationalPoly) -> RationalPoly:
-    """Apply x_i -> x_i + d inside the shift-extended ring."""
-    target = ring.shift_ring
-    d = RationalPoly.gen(target, ring.shift_var)
-    bindings = {v: RationalPoly.gen(target, v) + d for v in ring.root_vars}
-    return root_poly.substitute(bindings, target_ring=target)
+def rewrite_in_z(expr: ChernExpression) -> AClassExpression | None:
+    """The class in the canonical z-generators, or None if it is not twist-invariant.
+
+    The candidate is the normal form p(0, z_2/n^2, ..., z_n/n^n): the class
+    read in the traceless frame, where c_1 = 0 and c_k = z_k/n^k.  Every
+    twist-invariant class equals its normal form, and every polynomial in
+    the z_k is invariant, so the class is invariant exactly when the normal
+    form expanded back through z_k(c) gives the class again.
+    """
+    ring = expr.ring
+    n = ring.rank
+    bindings = {ring.chern_vars[0]: RationalPoly.zero(ring.z_ring)}
+    for k, z in enumerate(ring.z_vars, start=2):
+        bindings[ring.chern_vars[k - 1]] = RationalPoly.gen(ring.z_ring, z) / n**k
+    q = expr.poly.substitute(bindings, target_ring=ring.z_ring)
+    back = {z: _z_poly(n, k) for k, z in enumerate(ring.z_vars, start=2)}
+    if q.substitute(back, target_ring=ring.c_ring) != expr.poly:
+        return None
+    return AClassExpression(ring, q)
 
 
 def is_shift_invariant(expr: ChernExpression) -> bool:
     """True iff the class is unchanged by twisting with a formal line bundle."""
-    roots = expand_to_roots(expr.ring, expr.poly)
-    return _shifted(expr.ring, roots) == roots.embedded(expr.ring.shift_ring)
-
-
-def _weighted_z_monomials(n: int, weight: int) -> list[tuple[int, ...]]:
-    """Exponent vectors over z_2..z_n of total weight exactly `weight`."""
-    ks = list(range(2, n + 1))
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, remaining: int, acc: list[int]) -> None:
-        if i == len(ks):
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        for e in range(remaining // ks[i] + 1):
-            rec(i + 1, remaining - e * ks[i], acc + [e])
-
-    rec(0, weight, [])
-    return sorted(out, reverse=True)
-
-
-@lru_cache(maxsize=None)
-def _z_monomial_expansion(n: int, exps: tuple[int, ...]) -> RationalPoly:
-    ring = chern_ring(n)
-    out = RationalPoly.const(ring.c_ring, 1)
-    for k, e in zip(range(2, n + 1), exps):
-        if e:
-            out = out * _z_poly(n, k) ** e
-    return out
+    return rewrite_in_z(expr) is not None
 
 
 def express_in_z(expr: ChernExpression) -> AClassExpression:
     """Rewrite a shift-invariant class in the canonical z-generators.
 
-    Solves the linear system over weighted z-monomials and verifies the
-    answer by expanding it back; the generators are algebraically free, so
-    anything other than a unique solution is an internal error.
+    The rewrite is the twist normal form of `rewrite_in_z`, checked by
+    expanding it back; a class that fails that check is not invariant.
     """
-    ring = expr.ring
-    n = ring.rank
-    if expr.poly.is_zero():
-        return AClassExpression(ring, RationalPoly.zero(ring.z_ring))
-    if not is_shift_invariant(expr):
+    out = rewrite_in_z(expr)
+    if out is None:
         raise ValueError("expression is not shift-invariant")
-    monos = _weighted_z_monomials(n, expr.weight)
-    expansions = [_z_monomial_expansion(n, m) for m in monos]
-    row_keys = sorted(
-        set(itertools.chain(expr.poly.terms, *(e.terms for e in expansions))),
-        reverse=True,
-    )
-    matrix = [[e.terms.get(rk, Fraction(0)) for e in expansions] for rk in row_keys]
-    rhs = [expr.poly.terms.get(rk, Fraction(0)) for rk in row_keys]
-    res = linear_solve(matrix, rhs)
-    if res.status != "unique":
-        raise RuntimeError(
-            f"z-generator system came back {res.status};"
-            " the invariant-algebra model is broken"
-        )
-    q = RationalPoly(ring.z_ring, dict(zip(monos, res.solution)))
-    back = RationalPoly.zero(ring.c_ring)
-    for mono, coef in zip(monos, res.solution):
-        if coef:
-            back = back + coef * _z_monomial_expansion(n, mono)
-    if back != expr.poly:
-        raise RuntimeError("z-basis rewrite failed back-substitution")
-    return AClassExpression(ring, q)
+    return out
 
 
 def express_c_poly_in_z(ring: ChernRing, poly: RationalPoly) -> RationalPoly:
@@ -317,44 +294,32 @@ def _a_var(i: int) -> Variable:
 def lambda_p(n: int, k: int) -> ReductionData:
     """Reduction data (lambda, P) with e_k(y) = P(c_1, a_2..a_{k-1}) + lambda*c_k.
 
-    The pure c_k coefficient is split off, and the remaining c_2..c_{k-1}
-    are eliminated by back-substituting c_j = (a_j - P_j)/lambda_j for
-    descending j.  The identity is re-verified by expansion to the roots.
+    Twisting the traceless frame (c_1 = 0, c_i = a_i/n^i) back by +c_1/n
+    recovers c_k, which gives lambda = n^k and
+    P = -sum_{i in {0, 2..k-1}} C(n-i, k-i) * c_1^(k-i) * a_i with a_0 = 1.
+    The identity is re-checked in the Chern-class ring.
     """
     if not 2 <= k <= n:
         raise ValueError(f"k must satisfy 2 <= k <= {n}, got {k}")
     ring = chern_ring(n)
-    z = _z_poly(n, k)
-    ck_exps = tuple(1 if i == k - 1 else 0 for i in range(n))
-    lam = z.coefficient(ck_exps)
-    if lam == 0:
-        raise RuntimeError(f"z_{k} has no pure c_{k} term; reduction impossible")
-    remainder = z - lam * RationalPoly.gen(ring.c_ring, ring.chern_vars[k - 1])
-    lower_c = ring.chern_vars[: k - 1]
+    c1_var = ring.chern_vars[0]
     a_vars = tuple(_a_var(i) for i in range(2, k))
-    work_ring = make_ring(*lower_c, *a_vars)
-    work = remainder.restricted(lower_c).embedded(work_ring)
-    for j in range(k - 1, 1, -1):
-        sub = lambda_p(n, j)
-        image = (
-            RationalPoly.gen(work_ring, _a_var(j)) - sub.P.embedded(work_ring)
-        ) * (Fraction(1) / sub.lam)
-        work = work.substitute({ring.chern_vars[j - 1]: image}, target_ring=work_ring)
-    P = work.restricted(make_ring(ring.chern_vars[0], *a_vars))
-    _verify_reduction(n, k, lam, P)
+    p_ring = make_ring(c1_var, *a_vars)
+    c1 = RationalPoly.gen(p_ring, c1_var)
+    P = -math.comb(n, k) * c1**k
+    for i, a in enumerate(a_vars, start=2):
+        P = P - math.comb(n - i, k - i) * c1 ** (k - i) * RationalPoly.gen(p_ring, a)
+    lam = Fraction(n) ** k
+    bindings = {c1_var: RationalPoly.gen(ring.c_ring, c1_var)}
+    bindings.update({a: _z_poly(n, i) for i, a in enumerate(a_vars, start=2)})
+    ck = RationalPoly.gen(ring.c_ring, ring.chern_vars[k - 1])
+    lhs = P.substitute(bindings, target_ring=ring.c_ring) + lam * ck
+    if lhs != _z_poly(n, k):
+        raise RuntimeError(
+            f"reduction identity for (n={n}, k={k}) failed verification;"
+            f" first differing term {first_difference(lhs, _z_poly(n, k))}"
+        )
     return ReductionData(n, k, lam, P)
-
-
-def _verify_reduction(n: int, k: int, lam: Fraction, P: RationalPoly) -> None:
-    ring = chern_ring(n)
-    es = _root_esp(n)
-    bindings: dict[Variable, RationalPoly] = {ring.chern_vars[0]: es[1]}
-    for i in range(2, k):
-        bindings[_a_var(i)] = expand_to_roots(ring, _z_poly(n, i))
-    lhs = expand_to_roots(ring, _z_poly(n, k))
-    rhs = P.substitute(bindings, target_ring=ring.root_ring) + lam * es[k]
-    if lhs != rhs:
-        raise RuntimeError(f"reduction identity for (n={n}, k={k}) failed verification")
 
 
 # -- evaluation in coefficient rings --------------------------------------------

@@ -30,6 +30,7 @@ __all__ = [
     "elementary_symmetric_all",
     "is_symmetric",
     "express_in_elementary",
+    "first_difference",
     "linear_solve",
     "parse_poly",
     "parse_fraction",
@@ -373,16 +374,17 @@ class RationalPoly:
         """Canonical text: terms joined by ' + ', factors by '*'."""
         if not self.terms:
             return "0"
-        parts = []
-        for exps, coef in self.terms.items():
-            factors = [format_fraction(coef)]
-            for v, e in zip(self.ring, exps):
-                if e == 1:
-                    factors.append(v.name)
-                elif e > 1:
-                    factors.append(f"{v.name}^{e}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+        return " + ".join(
+            "*".join([format_fraction(coef), *self._factors(exps)])
+            for exps, coef in self.terms.items()
+        )
+
+    def _factors(self, exps: Exponents) -> list[str]:
+        return [
+            v.name if e == 1 else f"{v.name}^{e}"
+            for v, e in zip(self.ring, exps)
+            if e
+        ]
 
     def __str__(self) -> str:
         return self.to_text()
@@ -428,6 +430,22 @@ def parse_poly(text: str, ring: Iterable[Variable]) -> RationalPoly:
         key = tuple(exps)
         terms[key] = terms.get(key, Fraction(0)) + coef
     return RationalPoly(ring, terms)
+
+
+def first_difference(p: RationalPoly, q: RationalPoly) -> str:
+    """The leading monomial on which p and q differ, with both coefficients.
+
+    Meant for failure messages; p and q share a ring.
+    """
+    diff = p - q
+    if diff.is_zero():
+        return "none"
+    exps = next(iter(diff.terms))
+    mono = "*".join(diff._factors(exps)) or "1"
+    return (
+        f"{mono} ({format_fraction(p.coefficient(exps))}"
+        f" against {format_fraction(q.coefficient(exps))})"
+    )
 
 
 # -- symmetric function utilities -------------------------------------------
@@ -529,8 +547,13 @@ def express_in_elementary(
         work = work - coef * prod
     q = RationalPoly(target, out_terms)
     bindings = {target[i]: es[i + 1] for i in range(n)}
-    if q.substitute(bindings, target_ring=src_ring) != proj:
-        raise RuntimeError("elementary-basis rewrite failed back-substitution")
+    back = q.substitute(bindings, target_ring=src_ring)
+    if back != proj:
+        raise RuntimeError(
+            "elementary-basis rewrite in"
+            f" {', '.join(v.name for v in target)} failed back-substitution;"
+            f" first differing term {first_difference(back, proj)}"
+        )
     return q
 
 

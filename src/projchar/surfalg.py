@@ -17,14 +17,13 @@ shifts by exactly rank * f.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from random import Random
 from typing import Any, Mapping, Optional, Sequence
 
-from .projclass import a_classes
+from .projclass import a_classes, twist
 from .qpoly import format_fraction
 
 __all__ = [
@@ -748,15 +747,7 @@ def twist_chern(
     if fdeg is not None and fdeg != 2:
         raise ValueError(f"twist class has degree {fdeg}, expected 2")
     ft = KunnethClass.from_param(f, ring)
-    unit = KunnethClass.unit(algebra, ring)
-    out = []
-    for k in range(1, rank + 1):
-        acc = KunnethClass.zero(algebra, ring)
-        for i in range(k + 1):
-            c = unit if i == 0 else values[i - 1]
-            acc = acc + math.comb(rank - i, k - i) * c * ft ** (k - i)
-        out.append(acc)
-    return out
+    return twist(values, ft, KunnethClass.unit(algebra, ring))
 
 
 @dataclass(frozen=True)

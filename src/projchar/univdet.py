@@ -268,7 +268,11 @@ def bezout_min_nonneg(u: int, v: int) -> tuple[int, int]:
     else:
         a = s % abs(v)
         b = (1 - a * u) // v
-    assert a * u + b * v == 1
+    if a * u + b * v != 1:
+        raise RuntimeError(
+            f"Bezout certificate failed: a*u + b*v = {a * u + b * v}, expected 1"
+            f" (u={u}, v={v}, a={a}, b={b})"
+        )
     return a, b
 
 
@@ -282,7 +286,8 @@ def construct_xi(
     C1 with a*n + b*N = 1 yields DetU(1)^a (x) DetU^(b-a);
     C2 with a*m + b*n = 1 yields detU[x,j]^a (x) DetU^(-b) (x) DetU(1)^b;
     C3 with a*m + b*(d+n) = 1 yields detU[x,j]^a (x) DetU(1)^b (x) detU[x]^(b*(g-1)).
-    The constructed word is asserted to have weight exactly 1.
+    A witness (label, j) picks the flag for C2 or C3; C1 takes none.  The
+    constructed word is checked to have weight exactly 1.
     """
     if condition not in CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}")
@@ -290,7 +295,9 @@ def construct_xi(
     chosen = report.witness_for(condition)
     if chosen is None:
         raise ValueError(f"condition {condition} is not satisfied by these parameters")
-    if witness is not None and condition in ("C2", "C3"):
+    if witness is not None and condition == "C1":
+        raise ValueError("a witness applies only to conditions C2 and C3, not C1")
+    if witness is not None:
         label, j = witness
         m = params.point(label).tail_rank(j)
         modulus = params.n if condition == "C2" else params.n + params.d

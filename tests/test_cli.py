@@ -1,6 +1,7 @@
 """Command-line behavior: golden outputs, JSON schema, exit codes, determinism."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -93,6 +94,26 @@ class TestInvarianceCheck:
         assert code == 0
         assert out == "invariant: no\n"
 
+    def test_high_power_of_c1_rejected_quickly(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "invariance-check", "3", "1*c1^40")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert out == "invariant: no\n"
+        assert elapsed < 5.0
+
+    def test_mixed_weights_report_each_component(self, capsys):
+        code, out, _ = run(
+            capsys, "invariance-check", "2", "1*c2 + -1/4*c1^2 + 3", "--json"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["result"] == {"invariant": True, "z_expression": "1/4*z2 + 3"}
+        assert doc["audit"] == [
+            "weight 0 component: invariant",
+            "weight 2 component: invariant",
+        ]
+
     def test_json_reports_null_expression(self, capsys):
         code, out, _ = run(capsys, "invariance-check", "2", "1*c1", "--json")
         assert code == 0
@@ -167,6 +188,16 @@ class TestUniversalBundle:
         assert code == 0
         assert "word: detU[x,2]^1 ⊗ DetU^0 ⊗ DetU(1)^0" in out
         assert "weight: 1" in out
+
+    def test_witness_under_c1_is_domain_error(self, capsys, tmp_path):
+        doc = tmp_path / "params.txt"
+        doc.write_text("n = 3\nd = 1\ng = 2\n")
+        code, out, err = run(
+            capsys, "universal-bundle", str(doc), "--witness", "nosuch,1"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "C1" in err
 
     def test_malformed_witness(self, capsys, tmp_path):
         doc = tmp_path / "params.txt"

@@ -20,7 +20,9 @@ from projchar.projclass import (
     hom_flag_chern,
     is_shift_invariant,
     lambda_p,
+    rewrite_in_z,
     surjectivity_witness,
+    twist,
     y_roots,
     z_basis,
 )
@@ -39,6 +41,37 @@ def z_monomial_c_poly(ring, exps):
     for k, e in zip(range(2, ring.rank + 1), exps):
         if e:
             out = out * z_basis(ring, k).poly ** e
+    return out
+
+
+def shift_oracle(ring, poly):
+    """Invariance decided on the roots: expand, apply x_i -> x_i + d, compare."""
+    roots = expand_to_roots(ring, poly)
+    d = Variable("d")
+    big = make_ring(*ring.root_vars, d)
+    dp = RationalPoly.gen(big, d)
+    bindings = {v: RationalPoly.gen(big, v) + dp for v in ring.root_vars}
+    return roots.substitute(bindings, target_ring=big) == roots.embedded(big)
+
+
+def seeded_invariant(rng, ring, weight):
+    """A random z-combination of the given weight, expanded in c_1..c_n."""
+    out = RationalPoly.zero(ring.c_ring)
+    ks = list(range(2, ring.rank + 1))
+
+    def rec(i, remaining, acc):
+        nonlocal out
+        if remaining == 0:
+            out = out + rng.choice([-3, -2, -1, 1, 2, 3]) * z_monomial_c_poly(
+                ring, acc + [0] * (len(ks) - len(acc))
+            )
+            return
+        if i == len(ks):
+            return
+        for e in range(remaining // ks[i] + 1):
+            rec(i + 1, remaining - e * ks[i], acc + [e])
+
+    rec(0, weight, [])
     return out
 
 
@@ -137,6 +170,22 @@ class TestZBasis:
                     expected = expected + term
                 assert z_basis(ring, k).poly == expected
 
+    def test_twist_matches_shifted_roots(self):
+        # numeric roots: e_k(x_i + f) against the closed form from e_k(x)
+        rng = random.Random(3)
+        for n in range(1, 7):
+            xs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+            f = Fraction(rng.randint(-9, 9), 5)
+
+            def esp(values):
+                es = [Fraction(1)] + [Fraction(0)] * len(values)
+                for v in values:
+                    for k in range(len(es) - 1, 0, -1):
+                        es[k] += v * es[k - 1]
+                return es[1:]
+
+            assert twist(esp(xs), f, Fraction(1)) == esp([x + f for x in xs])
+
     def test_k_bounds(self):
         ring = chern_ring(3)
         with pytest.raises(ValueError):
@@ -166,6 +215,27 @@ class TestShiftInvariance:
         ring = chern_ring(2)
         p = parse_poly("1*c2 + -1/4*c1^2", ring.c_ring)
         assert is_shift_invariant(ChernExpression(ring, p, 2))
+
+    def test_root_oracle_agrees_on_seeded_classes(self):
+        rng = random.Random(11)
+        for n in range(2, 5):
+            ring = chern_ring(n)
+            c1 = RationalPoly.gen(ring.c_ring, ring.chern_vars[0])
+            for weight in range(2, 6):
+                invariant = seeded_invariant(rng, ring, weight)
+                perturbed = invariant + rng.choice([-2, -1, 1, 3]) * c1**weight
+                for poly, expected in ((invariant, True), (perturbed, False)):
+                    expr = ChernExpression(ring, poly, weight)
+                    assert shift_oracle(ring, poly) is expected
+                    assert is_shift_invariant(expr) is expected
+
+    def test_rewrite_is_none_exactly_off_the_invariants(self):
+        ring = chern_ring(3)
+        c1 = RationalPoly.gen(ring.c_ring, ring.chern_vars[0])
+        z3 = z_basis(ring, 3).poly
+        assert rewrite_in_z(ChernExpression(ring, z3, 3)).to_text() == "1*z3"
+        assert rewrite_in_z(ChernExpression(ring, z3 + c1**3, 3)) is None
+        assert rewrite_in_z(ChernExpression(ring, c1**40, 40)) is None
 
     def test_expand_to_roots_matches_elementary(self):
         from projchar.qpoly import elementary_symmetric
@@ -260,6 +330,26 @@ class TestReduction:
             lambda_p(3, 1)
         with pytest.raises(ValueError):
             lambda_p(3, 4)
+
+    def test_failed_identity_names_inputs_and_term(self, monkeypatch):
+        import projchar.projclass as pc
+
+        original = pc._z_poly
+
+        def perturbed(n, k):
+            ring = chern_ring(n)
+            return original(n, k) + RationalPoly.gen(ring.c_ring, ring.chern_vars[0]) ** k
+
+        monkeypatch.setattr(pc, "_z_poly", perturbed)
+        lambda_p.cache_clear()
+        try:
+            with pytest.raises(RuntimeError) as info:
+                lambda_p(4, 2)
+        finally:
+            lambda_p.cache_clear()
+        message = str(info.value)
+        assert "(n=4, k=2)" in message
+        assert "first differing term c1^2 (-6 against -5)" in message
 
     def test_golden_reduction_table(self, request):
         golden = (

@@ -12,6 +12,7 @@ from projchar.qpoly import (
     elementary_symmetric,
     elementary_symmetric_all,
     express_in_elementary,
+    first_difference,
     format_fraction,
     is_symmetric,
     linear_solve,
@@ -317,6 +318,41 @@ class TestSymmetricFunctions:
         p = RationalPoly.gen(ring, xs[0]) * RationalPoly.gen(ring, xs[1])
         q = express_in_elementary(p, xs, target_vars=cs)
         assert q.to_text() == "1*c2"
+
+    def test_failed_back_substitution_names_targets_and_term(self, monkeypatch):
+        original = RationalPoly.substitute
+
+        def off_by_one(self, *args, **kwargs):
+            return original(self, *args, **kwargs) + 1
+
+        monkeypatch.setattr(RationalPoly, "substitute", off_by_one)
+        xs = [Variable("x1"), Variable("x2")]
+        cs = [Variable("c1", 1), Variable("c2", 2)]
+        p = elementary_symmetric(2, xs)
+        with pytest.raises(RuntimeError) as info:
+            express_in_elementary(p, xs, target_vars=cs)
+        message = str(info.value)
+        assert "rewrite in c1, c2 failed back-substitution" in message
+        assert "first differing term 1 (1 against 0)" in message
+
+
+class TestFirstDifference:
+    def test_leading_differing_monomial(self):
+        p = parse_poly("3*x^2 + 1*y + 2*z", RING)
+        q = parse_poly("3*x^2 + 1*z", RING)
+        # y has weight 2, so it leads the difference y + z
+        assert first_difference(p, q) == "y (1 against 0)"
+        assert first_difference(q, p) == "y (0 against 1)"
+
+    def test_rational_coefficients_and_constants(self):
+        p = parse_poly("1/2*x*z + 5", RING)
+        q = parse_poly("1/3*x*z + 5", RING)
+        assert first_difference(p, q) == "x*z (1/2 against 1/3)"
+        assert first_difference(p + 1, p) == "1 (6 against 5)"
+
+    def test_equal_polynomials(self):
+        p = parse_poly("1*x", RING)
+        assert first_difference(p, p) == "none"
 
 
 class TestLinearSolve:

@@ -188,6 +188,14 @@ class TestBezout:
         with pytest.raises(ValueError):
             bezout_min_nonneg(4, 6)
 
+    def test_bad_certificate_raises_with_inputs(self, monkeypatch):
+        import projchar.univdet as ud
+
+        # gcd 1 with s = 1 for (3, 5) gives a = 1, b = -1 and a*u + b*v = -2
+        monkeypatch.setattr(ud, "extended_gcd", lambda u, v: (1, 1, 0))
+        with pytest.raises(RuntimeError, match=r"u=3, v=5, a=1, b=-1"):
+            bezout_min_nonneg(3, 5)
+
     def test_seeded_identities(self):
         import math
 
@@ -239,6 +247,11 @@ class TestConstructXi:
         word = construct_xi(ps, "C2", witness=("q", 2))
         assert "detU[q,2]" in word.text()
         assert weight_of(word, ps) == 1
+
+    def test_witness_under_c1_rejected(self):
+        ps = params(3, 1, g=2)
+        with pytest.raises(ValueError, match="not C1"):
+            construct_xi(ps, "C1", witness=("nosuch", 1))
 
     def test_bad_witness_rejected(self):
         ps = params(3, 1, g=0, points=[point(ms=(1, 2), ws=("0", "1/3"))])
