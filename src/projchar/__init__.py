@@ -64,7 +64,6 @@ from .surfalg import (
     cycle_a,
     cycle_b,
     fundamental_class,
-    kunneth_mul,
     point_class,
     random_kunneth,
     random_param_element,
@@ -143,7 +142,6 @@ __all__ = [
     "cycle_a",
     "cycle_b",
     "fundamental_class",
-    "kunneth_mul",
     "slant",
     "twist_chern",
     "canonicality_check",

@@ -382,9 +382,10 @@ def _end_c_poly(n: int, j: int) -> RationalPoly:
 
 def end_chern(n: int, j: int) -> ChernExpression:
     """c_j of the endomorphism bundle: e_j of the n^2 differences x_a - x_b."""
+    ring = chern_ring(n)  # rejects a non-positive rank before j is checked
     if not 1 <= j <= n * n:
         raise ValueError(f"j must satisfy 1 <= j <= {n * n}, got {j}")
-    return ChernExpression(chern_ring(n), _end_c_poly(n, j), j)
+    return ChernExpression(ring, _end_c_poly(n, j), j)
 
 
 def end_in_a(n: int, j: int) -> AClassExpression:

@@ -7,6 +7,13 @@ Terms are kept sorted by descending (weight, exponents), which makes the
 representation canonical: two polynomials are equal iff their rings and
 term maps coincide verbatim.
 
+`SparseTerms` is the arithmetic kernel shared by every sparse
+"key -> coefficient" type of the package: `RationalPoly` here and
+`SurfaceClass`, `ParamElement` and `KunnethClass` in `surfalg`.  It holds
+coercion of scalars, +, -, negation, scalar *, ** by square-and-multiply,
+== and repr; each type adds only its constructor (validation and canonical
+term order), three one-line hooks and its own product rule.
+
 The module also carries the symmetric-function utilities the
 characteristic-class computations are built on (elementary symmetric
 polynomials, rewriting a symmetric polynomial in the elementary basis)
@@ -23,6 +30,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 __all__ = [
     "Variable",
+    "SparseTerms",
     "RationalPoly",
     "LinearSolveResult",
     "make_ring",
@@ -80,14 +88,120 @@ def parse_fraction(text: str) -> Fraction:
         raise ValueError(f"cannot parse rational {text!r}: {exc}") from None
 
 
-class RationalPoly:
+class SparseTerms:
+    """Arithmetic shared by the sparse "key -> coefficient" types.
+
+    A subclass keeps its canonical term map in `terms` and supplies a
+    constructor that validates the keys, drops zero coefficients and fixes
+    the term order, plus these hooks:
+
+    - `_space()`: the ring or algebra it lives in; operands from different
+      spaces raise `ValueError` with the class attribute `_mismatch`;
+    - `_make(terms)`: an element of the same space;
+    - `_scalar(value)`: an int or Fraction embedded as a constant;
+    - `_mul(other)`: the product with an element of the same space.
+
+    Coefficients need +, unary -, and * by a Fraction.  Instances are
+    immutable by convention: no operation mutates an element.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _single_degree(
+        degrees: Iterable[int], label: str = "degrees"
+    ) -> int | None:
+        """The degree every term shares; None when there are no terms."""
+        found = set(degrees)
+        if len(found) > 1:
+            raise ValueError(f"not homogeneous: {label} {sorted(found)}")
+        return found.pop() if found else None
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _coerce(self, other: Any) -> Any:
+        if isinstance(other, self.__class__):
+            if other._space() != self._space():
+                raise ValueError(self._mismatch)
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self._scalar(other)
+        return None
+
+    def __add__(self, other: Any) -> Any:
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for key, coef in rhs.terms.items():
+            out[key] = out[key] + coef if key in out else coef
+        return self._make(out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> Any:
+        return self._make({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other: Any) -> Any:
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return self + (-rhs)
+
+    def __rsub__(self, other: Any) -> Any:
+        return (-self) + other
+
+    def __mul__(self, other: Any) -> Any:
+        if isinstance(other, (int, Fraction)):
+            q = Fraction(other)
+            return self._make({k: c * q for k, c in self.terms.items()})
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return self._mul(rhs)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int) -> Any:
+        if not isinstance(exponent, int):
+            return NotImplemented
+        if exponent < 0:
+            raise ValueError("negative exponent")
+        # starting from None rather than the unit saves one product per call
+        result = None
+        base = self
+        e = exponent
+        while e:
+            if e & 1:
+                result = base if result is None else result * base
+            e >>= 1
+            if e:
+                base = base * base
+        return self._scalar(1) if result is None else result
+
+    def __eq__(self, other: Any) -> bool:
+        if isinstance(other, (int, Fraction)):
+            other = self._scalar(other)
+        if not isinstance(other, self.__class__):
+            return NotImplemented
+        return self._space() == other._space() and self.terms == other.terms
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.to_text()})"
+
+
+class RationalPoly(SparseTerms):
     """Sparse polynomial with Fraction coefficients over an ordered ring.
 
     Instances are immutable by convention: no method mutates `self`, every
-    operation returns a fresh polynomial in canonical form.
+    operation returns a polynomial in canonical form.
     """
 
     __slots__ = ("ring", "terms", "_weights")
+    _mismatch = "ring mismatch"
 
     def __init__(self, ring: Iterable[Variable], terms: Any = ()) -> None:
         ring = make_ring(*ring)
@@ -136,9 +250,6 @@ class RationalPoly:
 
     # -- basic structure -------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
 
@@ -147,12 +258,8 @@ class RationalPoly:
 
     def homogeneous_weight(self) -> int | None:
         """Common weight of all terms; None for the zero polynomial."""
-        weights = {self.term_weight(e) for e in self.terms}
-        if not weights:
-            return None
-        if len(weights) > 1:
-            raise ValueError(f"not homogeneous: term weights {sorted(weights)}")
-        return weights.pop()
+        weights = map(self.term_weight, self.terms)
+        return self._single_degree(weights, "term weights")
 
     def is_homogeneous(self) -> bool:
         try:
@@ -172,48 +279,18 @@ class RationalPoly:
         w = self.homogeneous_weight()
         return None if w is None else 2 * w
 
-    # -- arithmetic -------------------------------------------------------
+    # -- arithmetic hooks (SparseTerms) -------------------------------------
 
-    def _coerce(self, other: Any) -> "RationalPoly | None":
-        if isinstance(other, RationalPoly):
-            if other.ring != self.ring:
-                raise ValueError("ring mismatch")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return RationalPoly.const(self.ring, other)
-        return None
+    def _space(self) -> Ring:
+        return self.ring
 
-    def __add__(self, other: Any) -> "RationalPoly":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for exps, coef in rhs.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + coef
-        return RationalPoly(self.ring, out)
+    def _make(self, terms: dict[Exponents, Fraction]) -> "RationalPoly":
+        return RationalPoly(self.ring, terms)
 
-    __radd__ = __add__
+    def _scalar(self, value: Any) -> "RationalPoly":
+        return RationalPoly.const(self.ring, value)
 
-    def __neg__(self) -> "RationalPoly":
-        return RationalPoly(self.ring, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: Any) -> "RationalPoly":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other: Any) -> "RationalPoly":
-        return (-self) + other
-
-    def __mul__(self, other: Any) -> "RationalPoly":
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return RationalPoly(self.ring, {e: c * q for e, c in self.terms.items()})
-        if not isinstance(other, RationalPoly):
-            return NotImplemented
-        if other.ring != self.ring:
-            raise ValueError("ring mismatch")
+    def _mul(self, other: "RationalPoly") -> "RationalPoly":
         out: dict[Exponents, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -221,39 +298,12 @@ class RationalPoly:
                 out[key] = out.get(key, Fraction(0)) + c1 * c2
         return RationalPoly(self.ring, out)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other: Any) -> "RationalPoly":
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division of a polynomial by zero")
             return self * (Fraction(1) / Fraction(other))
         return NotImplemented
-
-    def __pow__(self, exponent: int) -> "RationalPoly":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        result = RationalPoly.const(self.ring, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    def __eq__(self, other: Any) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = RationalPoly.const(self.ring, other)
-        if not isinstance(other, RationalPoly):
-            return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
-
-    __hash__ = None  # type: ignore[assignment]
 
     # -- ring maps ---------------------------------------------------------
 
@@ -388,9 +438,6 @@ class RationalPoly:
 
     def __str__(self) -> str:
         return self.to_text()
-
-    def __repr__(self) -> str:
-        return f"RationalPoly({self.to_text()})"
 
 
 _COEF_RE = re.compile(r"[+-]?\d+(?:/\d+)?")

@@ -9,6 +9,13 @@ graded-commutative parameter algebra, truncated above a degree bound.  The
 slant product contracts the surface leg against a homology class; the sign
 conventions are fixed here once and exercised by the tests.
 
+`SurfaceClass`, `ParamElement` and `KunnethClass` take +, -, scalar *,
+** (square-and-multiply), == and repr from the kernel `qpoly.SparseTerms`.
+Each adds only its constructor, which validates keys and fixes the term
+order, and its product rule: the `basis_mul` table for surface classes,
+exponent sums with the Koszul sign for parameter monomials, and both for
+Kunneth classes.
+
 The payoff is `canonicality_check`: twisting a rank-n Chern list by a
 degree-2 parameter class must leave both the degree-1 slants of c_1 and all
 the canonical classes a_2..a_n unchanged, while the degree-0 slant of c_1
@@ -24,7 +31,7 @@ from random import Random
 from typing import Any, Mapping, Optional, Sequence
 
 from .projclass import a_classes, twist
-from .qpoly import format_fraction
+from .qpoly import SparseTerms, format_fraction
 
 __all__ = [
     "K_ONE",
@@ -42,7 +49,6 @@ __all__ = [
     "cycle_a",
     "cycle_b",
     "fundamental_class",
-    "kunneth_mul",
     "slant",
     "twist_chern",
     "canonicality_check",
@@ -117,10 +123,11 @@ class SurfaceRing:
         return (1, K_OMEGA) if k1[1] == 0 else (-1, K_OMEGA)
 
 
-class SurfaceClass:
+class SurfaceClass(SparseTerms):
     """Rational linear combination of surface basis elements."""
 
     __slots__ = ("ring", "terms")
+    _mismatch = "surface ring mismatch"
 
     def __init__(self, ring: SurfaceRing, terms: Any = ()) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -151,57 +158,19 @@ class SurfaceClass:
     def omega_class(cls, ring: SurfaceRing) -> "SurfaceClass":
         return cls(ring, {K_OMEGA: 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int | None:
-        degs = {k[0] for k in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError(f"not homogeneous: degrees {sorted(degs)}")
-        return degs.pop()
+        return self._single_degree(k[0] for k in self.terms)
 
-    def _coerce(self, other: Any) -> "SurfaceClass | None":
-        if isinstance(other, SurfaceClass):
-            if other.ring != self.ring:
-                raise ValueError("surface ring mismatch")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return SurfaceClass(self.ring, {K_ONE: other})
-        return None
+    def _space(self) -> SurfaceRing:
+        return self.ring
 
-    def __add__(self, other: Any) -> "SurfaceClass":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for key, coef in rhs.terms.items():
-            out[key] = out.get(key, Fraction(0)) + coef
-        return SurfaceClass(self.ring, out)
+    def _make(self, terms: dict[BasisKey, Fraction]) -> "SurfaceClass":
+        return SurfaceClass(self.ring, terms)
 
-    __radd__ = __add__
+    def _scalar(self, value: Any) -> "SurfaceClass":
+        return SurfaceClass(self.ring, {K_ONE: value})
 
-    def __neg__(self) -> "SurfaceClass":
-        return SurfaceClass(self.ring, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: Any) -> "SurfaceClass":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other: Any) -> "SurfaceClass":
-        return (-self) + other
-
-    def __mul__(self, other: Any) -> "SurfaceClass":
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return SurfaceClass(self.ring, {k: c * q for k, c in self.terms.items()})
-        if not isinstance(other, SurfaceClass):
-            return NotImplemented
-        if other.ring != self.ring:
-            raise ValueError("surface ring mismatch")
+    def _mul(self, other: "SurfaceClass") -> "SurfaceClass":
         out: dict[BasisKey, Fraction] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
@@ -211,17 +180,6 @@ class SurfaceClass:
                 sign, key = hit
                 out[key] = out.get(key, Fraction(0)) + sign * c1 * c2
         return SurfaceClass(self.ring, out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: Any) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = SurfaceClass(self.ring, {K_ONE: other})
-        if not isinstance(other, SurfaceClass):
-            return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
-
-    __hash__ = None  # type: ignore[assignment]
 
     def pair(self, z: "HomologyClass") -> Fraction:
         """Kronecker pairing against the mirror-keyed homology basis."""
@@ -238,9 +196,6 @@ class SurfaceClass:
             head = format_fraction(coef)
             parts.append(head if key == K_ONE else f"{head}*{name}")
         return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"SurfaceClass({self.to_text()})"
 
 
 @dataclass(frozen=True)
@@ -381,7 +336,7 @@ class ParameterAlgebra:
         return ParamElement(self, {tuple(exps): 1})
 
 
-class ParamElement:
+class ParamElement(SparseTerms):
     """Element of a ParameterAlgebra: sparse map monomial -> Fraction.
 
     Monomials with an odd generator squared, or with degree above the
@@ -389,6 +344,7 @@ class ParamElement:
     """
 
     __slots__ = ("algebra", "terms")
+    _mismatch = "parameter algebra mismatch"
 
     def __init__(self, algebra: ParameterAlgebra, terms: Any = ()) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -414,16 +370,8 @@ class ParamElement:
         self.algebra = algebra
         self.terms = dict(ordered)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def cohomological_degree(self) -> int | None:
-        degs = {self.algebra.monomial_degree(e) for e in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError(f"not homogeneous: degrees {sorted(degs)}")
-        return degs.pop()
+        return self._single_degree(map(self.algebra.monomial_degree, self.terms))
 
     def sign_twist(self, parity: int) -> "ParamElement":
         """Multiply each monomial of odd degree by (-1)^parity."""
@@ -437,47 +385,17 @@ class ParamElement:
             },
         )
 
-    def _coerce(self, other: Any) -> "ParamElement | None":
-        if isinstance(other, ParamElement):
-            if other.algebra != self.algebra:
-                raise ValueError("parameter algebra mismatch")
-            return other
-        if isinstance(other, (int, Fraction)):
-            n = len(self.algebra.generators)
-            return ParamElement(self.algebra, {(0,) * n: other})
-        return None
+    def _space(self) -> ParameterAlgebra:
+        return self.algebra
 
-    def __add__(self, other: Any) -> "ParamElement":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for exps, coef in rhs.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + coef
-        return ParamElement(self.algebra, out)
+    def _make(self, terms: dict[Exponents, Fraction]) -> "ParamElement":
+        return ParamElement(self.algebra, terms)
 
-    __radd__ = __add__
+    def _scalar(self, value: Any) -> "ParamElement":
+        n = len(self.algebra.generators)
+        return ParamElement(self.algebra, {(0,) * n: value})
 
-    def __neg__(self) -> "ParamElement":
-        return ParamElement(self.algebra, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: Any) -> "ParamElement":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other: Any) -> "ParamElement":
-        return (-self) + other
-
-    def __mul__(self, other: Any) -> "ParamElement":
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return ParamElement(self.algebra, {e: c * q for e, c in self.terms.items()})
-        if not isinstance(other, ParamElement):
-            return NotImplemented
-        if other.algebra != self.algebra:
-            raise ValueError("parameter algebra mismatch")
+    def _mul(self, other: "ParamElement") -> "ParamElement":
         out: dict[Exponents, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -485,28 +403,6 @@ class ParamElement:
                 sign = self.algebra.koszul_sign(e1, e2)
                 out[key] = out.get(key, Fraction(0)) + sign * c1 * c2
         return ParamElement(self.algebra, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "ParamElement":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        result = self.algebra.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def __eq__(self, other: Any) -> bool:
-        if isinstance(other, (int, Fraction)):
-            n = len(self.algebra.generators)
-            other = ParamElement(self.algebra, {(0,) * n: other})
-        if not isinstance(other, ParamElement):
-            return NotImplemented
-        return self.algebra == other.algebra and self.terms == other.terms
-
-    __hash__ = None  # type: ignore[assignment]
 
     def to_text(self) -> str:
         if not self.terms:
@@ -522,17 +418,19 @@ class ParamElement:
             parts.append("*".join(factors))
         return " + ".join(parts)
 
-    def __repr__(self) -> str:
-        return f"ParamElement({self.to_text()})"
-
 
 # -- Kunneth classes -------------------------------------------------------------
 
 
-class KunnethClass:
-    """Class on (parameter space) x (surface): map surface key -> ParamElement."""
+class KunnethClass(SparseTerms):
+    """Class on (parameter space) x (surface): map surface key -> ParamElement.
 
-    __slots__ = ("algebra", "ring", "parts")
+    `terms` holds that map, so the kernel's coefficients are here
+    ParamElements; `parts` is another name for it.
+    """
+
+    __slots__ = ("algebra", "ring", "terms")
+    _mismatch = "Kunneth algebra or ring mismatch"
 
     def __init__(
         self,
@@ -551,7 +449,7 @@ class KunnethClass:
             acc[key] = acc[key] + elt if key in acc else elt
         self.algebra = algebra
         self.ring = ring
-        self.parts = {k: v for k, v in sorted(acc.items()) if not v.is_zero()}
+        self.terms = {k: v for k, v in sorted(acc.items()) if not v.is_zero()}
 
     @classmethod
     def zero(cls, algebra: ParameterAlgebra, ring: SurfaceRing) -> "KunnethClass":
@@ -579,73 +477,36 @@ class KunnethClass:
     ) -> "KunnethClass":
         return cls.tensor(algebra.one(), surface)
 
-    def is_zero(self) -> bool:
-        return not self.parts
+    @property
+    def parts(self) -> dict[BasisKey, ParamElement]:
+        return self.terms
 
     def part(self, key: BasisKey) -> ParamElement:
         self.ring.check_key(key)
-        return self.parts.get(key, self.algebra.zero())
+        return self.terms.get(key, self.algebra.zero())
 
     def cohomological_degree(self) -> int | None:
-        degs = set()
-        for key, elt in self.parts.items():
-            base = key[0]
-            degs.update(base + self.algebra.monomial_degree(e) for e in elt.terms)
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError(f"not homogeneous: degrees {sorted(degs)}")
-        return degs.pop()
-
-    def _coerce(self, other: Any) -> "KunnethClass | None":
-        if isinstance(other, KunnethClass):
-            if other.algebra != self.algebra or other.ring != self.ring:
-                raise ValueError("Kunneth algebra or ring mismatch")
-            return other
-        if isinstance(other, (int, Fraction)):
-            unit = KunnethClass.unit(self.algebra, self.ring)
-            return unit * Fraction(other)
-        return None
-
-    def __add__(self, other: Any) -> "KunnethClass":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        out = dict(self.parts)
-        for key, elt in rhs.parts.items():
-            out[key] = out[key] + elt if key in out else elt
-        return KunnethClass(self.algebra, self.ring, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "KunnethClass":
-        return KunnethClass(
-            self.algebra, self.ring, {k: -v for k, v in self.parts.items()}
+        return self._single_degree(
+            key[0] + self.algebra.monomial_degree(e)
+            for key, elt in self.terms.items()
+            for e in elt.terms
         )
 
-    def __sub__(self, other: Any) -> "KunnethClass":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
+    def _space(self) -> tuple[ParameterAlgebra, SurfaceRing]:
+        return (self.algebra, self.ring)
 
-    def __rsub__(self, other: Any) -> "KunnethClass":
-        return (-self) + other
+    def _make(self, terms: dict[BasisKey, ParamElement]) -> "KunnethClass":
+        return KunnethClass(self.algebra, self.ring, terms)
 
-    def __mul__(self, other: Any) -> "KunnethClass":
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return KunnethClass(
-                self.algebra, self.ring, {k: v * q for k, v in self.parts.items()}
-            )
-        if not isinstance(other, KunnethClass):
-            return NotImplemented
-        if other.algebra != self.algebra or other.ring != self.ring:
-            raise ValueError("Kunneth algebra or ring mismatch")
+    def _scalar(self, value: Any) -> "KunnethClass":
+        unit = self.algebra.one()
+        return KunnethClass(self.algebra, self.ring, {K_ONE: unit * value})
+
+    def _mul(self, other: "KunnethClass") -> "KunnethClass":
         out: dict[BasisKey, ParamElement] = {}
-        for k1, p1 in self.parts.items():
+        for k1, p1 in self.terms.items():
             d1 = k1[0]
-            for k2, p2 in other.parts.items():
+            for k2, p2 in other.terms.items():
                 hit = self.ring.basis_mul(k1, k2)
                 if hit is None:
                     continue
@@ -656,53 +517,20 @@ class KunnethClass:
                 out[key] = out[key] + prod if key in out else prod
         return KunnethClass(self.algebra, self.ring, out)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "KunnethClass":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        result = KunnethClass.unit(self.algebra, self.ring)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def __eq__(self, other: Any) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = KunnethClass.unit(self.algebra, self.ring) * Fraction(other)
-        if not isinstance(other, KunnethClass):
-            return NotImplemented
-        return (
-            self.algebra == other.algebra
-            and self.ring == other.ring
-            and self.parts == other.parts
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
     def to_text(self) -> str:
-        if not self.parts:
+        if not self.terms:
             return "0"
         return " + ".join(
             f"({elt.to_text()}) ⊗ {self.ring.name(key)}"
-            for key, elt in self.parts.items()
+            for key, elt in self.terms.items()
         )
-
-    def __repr__(self) -> str:
-        return f"KunnethClass({self.to_text()})"
-
-
-def kunneth_mul(a: KunnethClass, b: KunnethClass) -> KunnethClass:
-    """Product of Kunneth classes with the graded tensor sign."""
-    return a * b
 
 
 def slant(a: KunnethClass, z: HomologyClass) -> ParamElement:
     """Contract the surface leg against z: (s (x) t)/z = (-1)^{|s||z|} <t,z> s."""
     if z.ring != a.ring:
         raise ValueError("surface ring mismatch")
-    elt = a.parts.get(z.key)
+    elt = a.terms.get(z.key)
     if elt is None:
         return a.algebra.zero()
     return elt.sign_twist(z.degree)

@@ -245,6 +245,13 @@ class TestExitCodes:
         assert run(capsys, "no-such-command")[0] == 2
         assert run(capsys)[0] == 2
 
+    def test_rank_zero_end_classes_report_the_rank(self, capsys):
+        for command in ("end-chern", "end-in-a"):
+            code, out, err = run(capsys, command, "0", "1")
+            assert code == 1
+            assert out == ""
+            assert err == "error: rank must be positive, got 0\n"
+
     def test_missing_file_is_domain_error(self, capsys):
         code, _, err = run(capsys, "catalog", "/nonexistent/params.txt")
         assert code == 1

@@ -1,0 +1,42 @@
+"""The package needs only the standard library and never checks by `assert`."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "projchar"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_package_sources_found():
+    assert {p.name for p in MODULES} >= {"__init__.py", "qpoly.py", "surfalg.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_are_stdlib_or_relative(path):
+    outside = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            roots = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots = [node.module.split(".")[0]]
+        else:
+            continue
+        outside += [
+            f"line {node.lineno}: {root}"
+            for root in roots
+            if root not in sys.stdlib_module_names
+        ]
+    assert outside == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    lines = [n.lineno for n in ast.walk(_tree(path)) if isinstance(n, ast.Assert)]
+    assert lines == []

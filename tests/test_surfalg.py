@@ -21,7 +21,6 @@ from projchar.surfalg import (
     fundamental_class,
     k_alpha,
     k_beta,
-    kunneth_mul,
     point_class,
     random_kunneth,
     random_param_element,
@@ -311,12 +310,6 @@ class TestKunnethClass:
             b = random_kunneth(rng, self.alg, self.ring, rng.randint(1, 3))
             c = random_kunneth(rng, self.alg, self.ring, rng.randint(1, 3))
             assert (a * b) * c == a * (b * c)
-
-    def test_kunneth_mul_is_product(self):
-        rng = random.Random(13)
-        a = random_kunneth(rng, self.alg, self.ring, 2)
-        b = random_kunneth(rng, self.alg, self.ring, 2)
-        assert kunneth_mul(a, b) == a * b
 
     def test_text(self):
         x = KunnethClass.tensor(self.alg.gen("u1"), SurfaceClass.alpha(self.ring, 1))
