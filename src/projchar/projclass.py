@@ -13,8 +13,17 @@ equals its value in that traceless frame, p(0, z_2/n^2, ..., z_n/n^n),
 which is therefore its rewrite in the z_k; p is invariant exactly when
 that normal form, expanded back through z_k(c), returns p.  Twisting back
 by +c_1/n gives the reduction identity a_k = P + lambda * c_k in closed
-form.  The module also enumerates related Chern classes (endomorphism
-bundles, Hom bundles of flags) and generator catalogs.
+form.
+
+The classes of the endomorphism bundle End are twist-invariant too, so
+they are computed in the traceless frame with no root ring: Newton's
+identities give the power sums p_m of the roots from e_1 = 0,
+e_k = z_k/n^k; the roots x_a - x_b of End have power sums
+sum_i (-1)^(m-i) C(m,i) p_i p_{m-i}; Newton's identities turn those back
+into c_j(End) in the z_k, which expand once through z_k(c) into the c_i.
+Each rank's classes are spot-checked at fixed integer roots.  Hom bundles
+of flags take all e_j of their root differences at once, cached per pair
+of root sets.  The module also enumerates generator catalogs.
 """
 
 from __future__ import annotations
@@ -26,6 +35,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Any, Sequence
 
+# express_in_elementary is unused here but stays bound: perfbench/layers.py
+# traces it at this module attribute
 from .qpoly import (
     RationalPoly,
     Variable,
@@ -299,9 +310,9 @@ def lambda_p(n: int, k: int) -> ReductionData:
     P = -sum_{i in {0, 2..k-1}} C(n-i, k-i) * c_1^(k-i) * a_i with a_0 = 1.
     The identity is re-checked in the Chern-class ring.
     """
+    ring = chern_ring(n)  # rejects a non-positive rank before k is checked
     if not 2 <= k <= n:
         raise ValueError(f"k must satisfy 2 <= k <= {n}, got {k}")
-    ring = chern_ring(n)
     c1_var = ring.chern_vars[0]
     a_vars = tuple(_a_var(i) for i in range(2, k))
     p_ring = make_ring(c1_var, *a_vars)
@@ -363,34 +374,107 @@ def a_classes(
 # -- endomorphism and Hom bundles -----------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _end_root_esp(n: int) -> tuple[RationalPoly, ...]:
-    # all n^2 ordered differences, the n zero roots x_a - x_a included
+def _traceless_power_sums(n: int) -> list[RationalPoly]:
+    """p_0..p_{n^2} of the Chern roots in the traceless frame, in the z_k.
+
+    In that frame e_1 = 0 and e_k = z_k/n^k; Newton's identities
+    p_m = sum_{i=1..m-1} (-1)^(i-1) e_i p_{m-i} + (-1)^(m-1) m e_m give the
+    power sums, with p_0 = n and e_k = 0 for k > n.
+    """
     ring = chern_ring(n)
-    gens = {v: RationalPoly.gen(ring.root_ring, v) for v in ring.root_vars}
-    roots = [gens[a] - gens[b] for a in ring.root_vars for b in ring.root_vars]
-    return tuple(elementary_symmetric_all(roots, ring.root_ring))
+    zero = RationalPoly.zero(ring.z_ring)
+    e = [RationalPoly.const(ring.z_ring, 1), zero]
+    e += [RationalPoly.gen(ring.z_ring, z) / n**k for k, z in enumerate(ring.z_vars, 2)]
+    p = [RationalPoly.const(ring.z_ring, n)]
+    for m in range(1, n * n + 1):
+        acc = (-1) ** (m - 1) * m * e[m] if m <= n else zero
+        for i in range(2, min(m - 1, n) + 1):
+            acc = acc + (-1) ** (i - 1) * e[i] * p[m - i]
+        p.append(acc)
+    return p
+
+
+def _fraction_esp(values: Sequence[Fraction]) -> list[Fraction]:
+    es = [Fraction(1)] + [Fraction(0)] * len(values)
+    for count, v in enumerate(values, start=1):
+        for k in range(count, 0, -1):
+            es[k] += v * es[k - 1]
+    return es
+
+
+def _check_end_classes(n: int, es: Sequence[RationalPoly]) -> None:
+    """Evaluate each e_j(End) at the roots x_i = i^2 against a direct count.
+
+    The z-values are e_k of the difference roots y_i = n*x_i - sum(x); the
+    reference is e_j of the n^2 root differences x_a - x_b in Fraction.
+    """
+    roots = [Fraction(i * i) for i in range(n)]
+    ys = [n * x - sum(roots) for x in roots]
+    z_values = dict(zip(chern_ring(n).z_vars, _fraction_esp(ys)[2:]))
+    expected = _fraction_esp([a - b for a in roots for b in roots])
+    for j in range(1, n * n + 1):
+        got = es[j].evaluate(z_values)
+        if got != expected[j]:
+            raise RuntimeError(
+                f"End class c_{j} for rank n={n} failed its root check at x_i = i^2:"
+                f" {got} from the power sums against {expected[j]} from the roots"
+            )
+
+
+@lru_cache(maxsize=None)
+def _end_classes(n: int) -> tuple[RationalPoly, ...]:
+    """e_0..e_{n^2} of End, in the z_k, by power sums in the traceless frame.
+
+    End is twist-invariant, so its classes equal their traceless-frame
+    values.  Its roots x_a - x_b have power sums
+    P_m = sum_i (-1)^(m-i) C(m,i) p_i p_{m-i}, zero for odd m, and Newton's
+    identities j*e_j = sum_{i=1..j} (-1)^(i-1) e_{j-i} P_i turn them back
+    into elementary classes, so the odd classes vanish too.
+    """
+    ring = chern_ring(n)
+    zero = RationalPoly.zero(ring.z_ring)
+    p = _traceless_power_sums(n)
+    P = [zero] * (n * n + 1)
+    for m in range(2, n * n + 1, 2):
+        acc = (-1) ** (m // 2) * math.comb(m, m // 2) * p[m // 2] ** 2
+        for i in range(m // 2):
+            acc = acc + 2 * (-1) ** i * math.comb(m, i) * p[i] * p[m - i]
+        P[m] = acc
+    es = [RationalPoly.const(ring.z_ring, 1)] + [zero] * (n * n)
+    for j in range(2, n * n + 1, 2):
+        acc = zero
+        for i in range(2, j + 1, 2):
+            acc = acc - es[j - i] * P[i]
+        es[j] = acc / j
+    _check_end_classes(n, es)
+    return tuple(es)
+
+
+def _end_ring(n: int, j: int) -> ChernRing:
+    ring = chern_ring(n)  # rejects a non-positive rank before j is checked
+    if not 1 <= j <= n * n:
+        raise ValueError(f"j must satisfy 1 <= j <= {n * n}, got {j}")
+    return ring
 
 
 @lru_cache(maxsize=None)
 def _end_c_poly(n: int, j: int) -> RationalPoly:
     ring = chern_ring(n)
-    return express_in_elementary(
-        _end_root_esp(n)[j], ring.root_vars, target_vars=ring.chern_vars
-    )
+    back = {z: _z_poly(n, k) for k, z in enumerate(ring.z_vars, start=2)}
+    return _end_classes(n)[j].substitute(back, target_ring=ring.c_ring)
 
 
 def end_chern(n: int, j: int) -> ChernExpression:
-    """c_j of the endomorphism bundle: e_j of the n^2 differences x_a - x_b."""
-    ring = chern_ring(n)  # rejects a non-positive rank before j is checked
-    if not 1 <= j <= n * n:
-        raise ValueError(f"j must satisfy 1 <= j <= {n * n}, got {j}")
-    return ChernExpression(ring, _end_c_poly(n, j), j)
+    """c_j of the endomorphism bundle: e_j of the n^2 differences x_a - x_b.
+
+    It is the class of `end_in_a` expanded once through z_k(c).
+    """
+    return ChernExpression(_end_ring(n, j), _end_c_poly(n, j), j)
 
 
 def end_in_a(n: int, j: int) -> AClassExpression:
-    """The endomorphism class c_j(End) rewritten in the canonical z-generators."""
-    return express_in_z(end_chern(n, j))
+    """The endomorphism class c_j(End) in the canonical z-generators."""
+    return AClassExpression(_end_ring(n, j), _end_classes(n)[j])
 
 
 def surjectivity_witness(n: int) -> bool:
@@ -448,18 +532,30 @@ def _graded_products(
     return out
 
 
-def hom_flag_chern(
-    sub_roots: Sequence[Variable], target_roots: Sequence[Variable], j: int
-) -> RationalPoly:
-    """c_j of a Hom bundle: e_j of the pairwise differences t_b - s_a."""
+@lru_cache(maxsize=None)
+def _hom_esp(
+    sub_roots: tuple[Variable, ...], target_roots: tuple[Variable, ...]
+) -> tuple[RationalPoly, ...]:
     ring = make_ring(*sub_roots, *target_roots)
-    total = len(sub_roots) * len(target_roots)
-    if not 1 <= j <= total:
-        raise ValueError(f"j must satisfy 1 <= j <= {total}, got {j}")
     s_gens = [RationalPoly.gen(ring, v) for v in sub_roots]
     t_gens = [RationalPoly.gen(ring, v) for v in target_roots]
     roots = [t - s for s in s_gens for t in t_gens]
-    return elementary_symmetric_all(roots, ring)[j]
+    return tuple(elementary_symmetric_all(roots, ring))
+
+
+def hom_flag_chern(
+    sub_roots: Sequence[Variable], target_roots: Sequence[Variable], j: int
+) -> RationalPoly:
+    """c_j of a Hom bundle: e_j of the pairwise differences t_b - s_a.
+
+    All e_j of one pair of root sets are computed together and cached.
+    """
+    sub, target = tuple(sub_roots), tuple(target_roots)
+    make_ring(*sub, *target)  # rejects clashing names before j is checked
+    total = len(sub) * len(target)
+    if not 1 <= j <= total:
+        raise ValueError(f"j must satisfy 1 <= j <= {total}, got {j}")
+    return _hom_esp(sub, target)[j]
 
 
 # -- generator catalogs ----------------------------------------------------------

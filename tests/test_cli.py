@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from projchar import projclass
 from projchar.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -251,6 +252,23 @@ class TestExitCodes:
             assert code == 1
             assert out == ""
             assert err == "error: rank must be positive, got 0\n"
+
+    def test_rank_zero_lambda_p_reports_the_rank(self, capsys):
+        code, out, err = run(capsys, "lambda-p", "0", "2")
+        assert code == 1
+        assert out == ""
+        assert err == "error: rank must be positive, got 0\n"
+
+    def test_rank_five_end_classes_are_bounded(self, capsys):
+        projclass._end_classes.cache_clear()
+        projclass._end_c_poly.cache_clear()
+        for command in ("end-in-a", "end-chern"):
+            start = time.perf_counter()
+            code, out, _ = run(capsys, command, "5", "4")
+            elapsed = time.perf_counter() - start
+            assert code == 0
+            assert out.strip() not in ("", "0")
+            assert elapsed < 5.0
 
     def test_missing_file_is_domain_error(self, capsys):
         code, _, err = run(capsys, "catalog", "/nonexistent/params.txt")

@@ -1,0 +1,172 @@
+"""End classes by traceless-frame power sums, and the cached Hom e-lists.
+
+The library computes c_j(End) from power sums in the traceless frame and
+never touches the root ring.  The oracles here do: e_j of the n^2 root
+differences x_a - x_b, rewritten in c_1..c_n by elementary-basis descent,
+or evaluated at seeded rational roots.
+"""
+
+import random
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+
+from projchar import projclass
+from projchar.projclass import (
+    chern_ring,
+    end_chern,
+    end_in_a,
+    hom_flag_chern,
+    rewrite_in_z,
+)
+from projchar.qpoly import (
+    RationalPoly,
+    Variable,
+    elementary_symmetric_all,
+    express_in_elementary,
+    make_ring,
+)
+
+
+def fraction_esp(values):
+    es = [Fraction(1)] + [Fraction(0)] * len(values)
+    for count, v in enumerate(values, start=1):
+        for k in range(count, 0, -1):
+            es[k] += v * es[k - 1]
+    return es
+
+
+@lru_cache(maxsize=None)
+def root_ring_end_esp(n):
+    """e_0..e_{n^2} of the root differences, computed in the root ring."""
+    ring = chern_ring(n)
+    gens = [RationalPoly.gen(ring.root_ring, v) for v in ring.root_vars]
+    roots = [a - b for a in gens for b in gens]
+    return elementary_symmetric_all(roots, ring.root_ring)
+
+
+SMALL = [(n, j) for n in range(1, 5) for j in range(1, n * n + 1)]
+
+
+class TestAgainstRootRing:
+    @pytest.mark.parametrize("n,j", SMALL)
+    def test_end_chern_matches_elementary_descent(self, n, j):
+        ring = chern_ring(n)
+        expected = express_in_elementary(
+            root_ring_end_esp(n)[j], ring.root_vars, target_vars=ring.chern_vars
+        )
+        got = end_chern(n, j).poly
+        assert got.terms == expected.terms
+        assert got.to_text() == expected.to_text()
+
+    @pytest.mark.parametrize("n,j", SMALL)
+    def test_end_in_a_is_the_z_rewrite_of_end_chern(self, n, j):
+        assert end_in_a(n, j).poly == rewrite_in_z(end_chern(n, j)).poly
+
+
+class TestRankFive:
+    N = 5
+
+    def test_end_in_a_is_the_z_rewrite_of_end_chern(self):
+        for j in range(1, self.N**2 + 1):
+            assert end_in_a(self.N, j).poly == rewrite_in_z(end_chern(self.N, j)).poly
+
+    def test_odd_classes_vanish(self):
+        for j in range(1, self.N**2 + 1, 2):
+            assert end_in_a(self.N, j).poly.is_zero()
+            assert end_chern(self.N, j).poly.is_zero()
+
+    def test_even_classes_up_to_the_nonzero_root_count_do_not_vanish(self):
+        # 20 of the 25 differences are nonzero, so e_j survives up to j = 20
+        for j in range(2, self.N**2 + 1, 2):
+            assert end_chern(self.N, j).poly.is_zero() == (j > 20)
+
+    def test_end_chern_at_seeded_rational_roots(self):
+        ring = chern_ring(self.N)
+        rng = random.Random(5)
+        for _ in range(3):
+            roots = [
+                Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(self.N)
+            ]
+            c_values = dict(zip(ring.chern_vars, fraction_esp(roots)[1:]))
+            expected = fraction_esp([a - b for a in roots for b in roots])
+            for j in range(1, self.N**2 + 1):
+                assert end_chern(self.N, j).poly.evaluate(c_values) == expected[j], j
+
+
+class TestLoudFailure:
+    @pytest.fixture
+    def fresh_caches(self):
+        projclass._end_classes.cache_clear()
+        projclass._end_c_poly.cache_clear()
+        yield
+        projclass._end_classes.cache_clear()
+        projclass._end_c_poly.cache_clear()
+
+    def test_corrupt_power_sum_is_caught(self, monkeypatch, fresh_caches):
+        honest = projclass._traceless_power_sums
+
+        def corrupt(n):
+            p = honest(n)
+            z2 = RationalPoly.gen(chern_ring(n).z_ring, chern_ring(n).z_vars[0])
+            p[4] = p[4] + z2**2
+            return p
+
+        monkeypatch.setattr(projclass, "_traceless_power_sums", corrupt)
+        with pytest.raises(RuntimeError) as info:
+            end_in_a(3, 2)
+        message = str(info.value)
+        assert "c_4" in message
+        assert "n=3" in message
+        assert "against" in message
+
+    def test_honest_power_sums_pass(self, fresh_caches):
+        assert end_in_a(3, 2).to_text() == "2/3*z2"
+
+
+def hom_vars(sub_rank, target_rank):
+    sub = [Variable(f"s{i}") for i in range(1, sub_rank + 1)]
+    target = [Variable(f"t{i}") for i in range(1, target_rank + 1)]
+    return sub, target
+
+
+HOM_RANKS = [(a, b) for a in range(1, 4) for b in range(1, 4)]
+
+
+class TestHomCache:
+    @pytest.mark.parametrize("a,b", HOM_RANKS)
+    def test_matches_direct_elementary_symmetric_all(self, a, b):
+        sub, target = hom_vars(a, b)
+        ring = make_ring(*sub, *target)
+        roots = [
+            RationalPoly.gen(ring, t) - RationalPoly.gen(ring, s)
+            for s in sub
+            for t in target
+        ]
+        expected = elementary_symmetric_all(roots, ring)
+        for j in range(1, a * b + 1):
+            assert hom_flag_chern(sub, target, j) == expected[j]
+
+    def test_list_and_tuple_inputs_agree(self):
+        sub, target = hom_vars(2, 3)
+        for j in range(1, 7):
+            as_lists = hom_flag_chern(sub, target, j)
+            as_tuples = hom_flag_chern(tuple(sub), tuple(target), j)
+            assert as_lists == as_tuples
+            assert as_lists.to_text() == as_tuples.to_text()
+
+    def test_j_range_messages(self):
+        sub, target = hom_vars(2, 3)
+        for j in (0, 7, -1):
+            with pytest.raises(ValueError) as info:
+                hom_flag_chern(sub, target, j)
+            assert str(info.value) == f"j must satisfy 1 <= j <= 6, got {j}"
+        with pytest.raises(ValueError) as info:
+            hom_flag_chern([], target, 1)
+        assert str(info.value) == "j must satisfy 1 <= j <= 0, got 1"
+
+    def test_clashing_names_rejected_before_j(self):
+        s1 = Variable("s1")
+        with pytest.raises(ValueError, match="duplicate variable names"):
+            hom_flag_chern([s1], [s1], 5)
