@@ -18,7 +18,6 @@ from .qpoly import (
     LinearSolveResult,
     RationalPoly,
     Variable,
-    elementary_symmetric,
     elementary_symmetric_all,
     express_in_elementary,
     first_difference,
@@ -33,13 +32,11 @@ from .projclass import (
     AClassExpression,
     ChernExpression,
     ChernRing,
-    FlagType,
     ReductionData,
     a_classes,
     chern_ring,
     end_chern,
     end_in_a,
-    expand_to_roots,
     express_c_poly_in_z,
     express_in_z,
     generator_catalog,
@@ -49,7 +46,6 @@ from .projclass import (
     rewrite_in_z,
     surjectivity_witness,
     twist,
-    y_roots,
     z_basis,
 )
 from .surfalg import (
@@ -102,7 +98,6 @@ __all__ = [
     "parse_poly",
     "parse_fraction",
     "format_fraction",
-    "elementary_symmetric",
     "elementary_symmetric_all",
     "is_symmetric",
     "express_in_elementary",
@@ -113,12 +108,9 @@ __all__ = [
     "ChernExpression",
     "AClassExpression",
     "ReductionData",
-    "FlagType",
     "chern_ring",
     "twist",
-    "y_roots",
     "z_basis",
-    "expand_to_roots",
     "is_shift_invariant",
     "rewrite_in_z",
     "express_in_z",

@@ -14,6 +14,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from random import Random
 from typing import Any, Optional
@@ -381,6 +382,9 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+# built once per process: parse_args leaves the parser unchanged, and
+# in-process callers would otherwise pay for every add_argument on each call
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="projchar",

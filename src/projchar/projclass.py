@@ -21,22 +21,25 @@ identities give the power sums p_m of the roots from e_1 = 0,
 e_k = z_k/n^k; the roots x_a - x_b of End have power sums
 sum_i (-1)^(m-i) C(m,i) p_i p_{m-i}; Newton's identities turn those back
 into c_j(End) in the z_k, which expand once through z_k(c) into the c_i.
-Each rank's classes are spot-checked at fixed integer roots.  Hom bundles
+Each rank's classes are spot-checked at fixed integer roots.  Whether
+they generate has a closed form as well: End is self-dual, so its odd
+classes vanish and no product of End classes reaches z_3.  Hom bundles
 of flags take all e_j of their root differences at once, cached per pair
 of root sets.  The module also enumerates generator catalogs.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Any, Sequence
 
-# express_in_elementary is unused here but stays bound: perfbench/layers.py
-# traces it at this module attribute
+# linear_solve and express_in_elementary have no caller here, but they stay
+# bound, like elementary_symmetric_all: perfbench/layers.py wraps each of the
+# three at its qpoly and at its projclass attribute, and a missing one fails
+# `--trace 1` with a KeyError; `selftest` calls the qpoly ones
 from .qpoly import (
     RationalPoly,
     Variable,
@@ -53,12 +56,9 @@ __all__ = [
     "ChernExpression",
     "AClassExpression",
     "ReductionData",
-    "FlagType",
     "chern_ring",
     "twist",
-    "y_roots",
     "z_basis",
-    "expand_to_roots",
     "is_shift_invariant",
     "rewrite_in_z",
     "express_in_z",
@@ -168,24 +168,6 @@ class ReductionData:
     P: RationalPoly
 
 
-@dataclass(frozen=True)
-class FlagType:
-    """Multiplicity blocks of a flag; they must sum to the ambient rank."""
-
-    multiplicities: tuple[int, ...]
-
-    def validate(self, ambient_rank: int) -> None:
-        if not self.multiplicities:
-            raise ValueError("flag type needs at least one block")
-        if any(m < 1 for m in self.multiplicities):
-            raise ValueError("flag multiplicities must be positive")
-        if sum(self.multiplicities) != ambient_rank:
-            raise ValueError(
-                f"flag multiplicities sum to {sum(self.multiplicities)},"
-                f" expected {ambient_rank}"
-            )
-
-
 # -- canonical generators ------------------------------------------------------
 
 
@@ -209,22 +191,6 @@ def twist(values: Sequence[Any], f: Any, one: Any) -> list[Any]:
     return out
 
 
-def y_roots(ring: ChernRing) -> tuple[RationalPoly, ...]:
-    """The difference roots y_i = n*x_i - (x_1 + ... + x_n); their sum is zero."""
-    gens = [RationalPoly.gen(ring.root_ring, v) for v in ring.root_vars]
-    total = RationalPoly.zero(ring.root_ring)
-    for gpoly in gens:
-        total = total + gpoly
-    return tuple(ring.rank * gpoly - total for gpoly in gens)
-
-
-@lru_cache(maxsize=None)
-def _root_esp(n: int) -> tuple[RationalPoly, ...]:
-    ring = chern_ring(n)
-    gens = [RationalPoly.gen(ring.root_ring, v) for v in ring.root_vars]
-    return tuple(elementary_symmetric_all(gens, ring.root_ring))
-
-
 @lru_cache(maxsize=None)
 def _z_poly(n: int, k: int) -> RationalPoly:
     # the twist by -c1/n sends x_i to y_i/n, so e_k(y) = n^k * c'_k
@@ -239,13 +205,6 @@ def z_basis(ring: ChernRing, k: int) -> ChernExpression:
     if not 2 <= k <= ring.rank:
         raise ValueError(f"k must satisfy 2 <= k <= {ring.rank}, got {k}")
     return ChernExpression(ring, _z_poly(ring.rank, k), k)
-
-
-def expand_to_roots(ring: ChernRing, poly: RationalPoly) -> RationalPoly:
-    """Substitute c_i -> e_i(x), landing in the root ring."""
-    es = _root_esp(ring.rank)
-    bindings = {v: es[i + 1] for i, v in enumerate(ring.chern_vars)}
-    return poly.substitute(bindings, target_ring=ring.root_ring)
 
 
 def rewrite_in_z(expr: ChernExpression) -> AClassExpression | None:
@@ -480,56 +439,17 @@ def end_in_a(n: int, j: int) -> AClassExpression:
 def surjectivity_witness(n: int) -> bool:
     """True iff some generator z_k escapes the span of endomorphism classes.
 
-    For each k <= n the span of all products of the nonzero end_in_a
-    classes with total weight k is computed in the z-monomial basis; the
-    witness is a z_k outside that span.  Rank 2 has none (a_2 is itself an
-    endomorphism class); odd k kills every product for rank >= 3.
+    The answer is n >= 3, in closed form.  End E is self-dual
+    (End E = E (x) E^* is its own dual), so c_j(End) = (-1)^j c_j(End) and
+    every odd class vanishes rationally.  Every product of End classes
+    therefore has even weight, and for n >= 3 the weight-3 generator z_3
+    lies outside their span.  At n = 2 the only generator is
+    z_2 = c_2(End) (`end_in_a(2, 2)` is 1*z2), so nothing escapes: this is
+    Newstead's rank-2 case.  No End class is built.
     """
     if n < 2:
         raise ValueError(f"rank must be at least 2, got {n}")
-    ring = chern_ring(n)
-    gens = []
-    for j in range(1, n * n + 1):
-        poly = end_in_a(n, j).poly
-        if not poly.is_zero():
-            gens.append((j, poly))
-    for k in range(2, n + 1):
-        products = _graded_products(gens, k, ring)
-        target = RationalPoly.gen(ring.z_ring, ring.z_vars[k - 2])
-        if not products:
-            return True
-        row_keys = sorted(
-            set(itertools.chain(target.terms, *(p.terms for p in products))),
-            reverse=True,
-        )
-        matrix = [[p.terms.get(rk, Fraction(0)) for p in products] for rk in row_keys]
-        rhs = [target.terms.get(rk, Fraction(0)) for rk in row_keys]
-        if linear_solve(matrix, rhs).status == "inconsistent":
-            return True
-    return False
-
-
-def _graded_products(
-    gens: Sequence[tuple[int, RationalPoly]], weight: int, ring: ChernRing
-) -> list[RationalPoly]:
-    """All products of the homogeneous generators with total weight `weight`."""
-    out: list[RationalPoly] = []
-
-    def rec(i: int, remaining: int, acc: RationalPoly) -> None:
-        if remaining == 0:
-            out.append(acc)
-            return
-        if i == len(gens):
-            return
-        j, poly = gens[i]
-        power = acc
-        for e in range(remaining // j + 1):
-            if e:
-                power = power * poly
-            rec(i + 1, remaining - e * j, power)
-
-    rec(0, weight, RationalPoly.const(ring.z_ring, 1))
-    return out
+    return n >= 3
 
 
 @lru_cache(maxsize=None)
@@ -586,7 +506,6 @@ def generator_catalog(
     datum.validate(n)
     out: list[tuple[str, int]] = []
     for point in datum.points:
-        FlagType(point.multiplicities).validate(n)
         ms = point.multiplicities
         for i in range(2, len(ms) + 1):
             for j in range(1, ms[i - 1] * ms[i - 2] + 1):

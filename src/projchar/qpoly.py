@@ -14,10 +14,13 @@ coercion of scalars, +, -, negation, scalar *, ** by square-and-multiply,
 == and repr; each type adds only its constructor (validation and canonical
 term order), three one-line hooks and its own product rule.
 
-The module also carries the symmetric-function utilities the
-characteristic-class computations are built on (elementary symmetric
-polynomials, rewriting a symmetric polynomial in the elementary basis)
-and an exact linear solver over the rationals.
+The module also carries `elementary_symmetric_all`, every e_k of a list
+of ring elements in one pass, which the Hom classes of flags are built
+on.  Two more helpers have no caller in the library: the rewrite of a
+symmetric polynomial in the elementary basis (`express_in_elementary`)
+and an exact linear solver over the rationals (`linear_solve`).  The
+`selftest` suites check both, and the per-layer tracer in `perfbench`
+wraps them by name.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ __all__ = [
     "RationalPoly",
     "LinearSolveResult",
     "make_ring",
-    "elementary_symmetric",
     "elementary_symmetric_all",
     "is_symmetric",
     "express_in_elementary",
@@ -380,23 +382,6 @@ class RationalPoly(SparseTerms):
             total = total + term
         return total
 
-    def embedded(self, ring: Iterable[Variable]) -> "RationalPoly":
-        """Reinterpret over a larger ring that contains every current variable."""
-        ring = make_ring(*ring)
-        positions = []
-        for v in self.ring:
-            try:
-                positions.append(ring.index(v))
-            except ValueError:
-                raise ValueError(f"{v.name!r} is missing from the target ring") from None
-        out = {}
-        for exps, coef in self.terms.items():
-            new = [0] * len(ring)
-            for pos, e in zip(positions, exps):
-                new[pos] = e
-            out[tuple(new)] = coef
-        return RationalPoly(ring, out)
-
     def restricted(self, ring: Iterable[Variable]) -> "RationalPoly":
         """Project onto a subring; fails if a term uses a dropped variable."""
         ring = make_ring(*ring)
@@ -515,17 +500,6 @@ def elementary_symmetric_all(
         for k in range(len(es) - 1, 0, -1):
             es[k] = es[k] + v * es[k - 1]
     return es
-
-
-def elementary_symmetric(
-    k: int, variables: Sequence[Variable], ring: Iterable[Variable] | None = None
-) -> RationalPoly:
-    """The k-th elementary symmetric polynomial of the given variables."""
-    ring = make_ring(*(ring if ring is not None else variables))
-    if not 0 <= k <= len(variables):
-        raise ValueError(f"k={k} out of range 0..{len(variables)}")
-    gens = [RationalPoly.gen(ring, v) for v in variables]
-    return elementary_symmetric_all(gens, ring)[k]
 
 
 def _swapped(p: RationalPoly, a: Variable, b: Variable) -> RationalPoly:

@@ -19,7 +19,6 @@ from projchar.projclass import (
     generator_catalog,
     is_shift_invariant,
     lambda_p,
-    y_roots,
     z_basis,
 )
 from projchar.qpoly import (
@@ -44,6 +43,8 @@ from projchar.univdet import (
     construct_xi,
     weight_of,
 )
+
+from oracles import y_roots
 
 CRITERION_LINES: list[str] = []
 

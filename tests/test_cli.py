@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from projchar import projclass
-from projchar.cli import main
+from projchar.cli import _build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -279,6 +279,15 @@ class TestExitCodes:
         _, first, _ = run(capsys, "zbasis", "4", "3")
         _, second, _ = run(capsys, "zbasis", "4", "3")
         assert first == second
+
+    def test_reused_parser_keeps_no_state_between_calls(self, capsys):
+        assert _build_parser() is _build_parser()
+        for assignment, code in (("c1=2", 1), ("c1=0", 0)):
+            assert run(capsys, "aclass", "2", "--set", assignment)[0] == code
+            assert run(capsys, "aclass", "2") == (0, "a2 = -1*c1^2 + 4*c2\n", "")
+        code, out, err = run(capsys, "zbasis", "x")
+        assert code == 2 and out == "" and "invalid int value: 'x'" in err
+        assert run(capsys, "zbasis", "2", "2") == (0, "-1*c1^2 + 4*c2\n", "")
 
 
 class TestSelftest:

@@ -5,15 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from projchar import projclass
 from projchar.projclass import (
     AClassExpression,
     ChernExpression,
-    FlagType,
     a_classes,
     chern_ring,
     end_chern,
     end_in_a,
-    expand_to_roots,
     express_c_poly_in_z,
     express_in_z,
     generator_catalog,
@@ -23,7 +22,6 @@ from projchar.projclass import (
     rewrite_in_z,
     surjectivity_witness,
     twist,
-    y_roots,
     z_basis,
 )
 from projchar.qpoly import (
@@ -34,6 +32,8 @@ from projchar.qpoly import (
     parse_poly,
 )
 from projchar.univdet import ParabolicDatum, ParabolicPoint
+
+from oracles import elementary_symmetric, embedded, expand_to_roots, span_witness, y_roots
 
 
 def z_monomial_c_poly(ring, exps):
@@ -51,7 +51,7 @@ def shift_oracle(ring, poly):
     big = make_ring(*ring.root_vars, d)
     dp = RationalPoly.gen(big, d)
     bindings = {v: RationalPoly.gen(big, v) + dp for v in ring.root_vars}
-    return roots.substitute(bindings, target_ring=big) == roots.embedded(big)
+    return roots.substitute(bindings, target_ring=big) == embedded(roots, big)
 
 
 def seeded_invariant(rng, ring, weight):
@@ -238,8 +238,6 @@ class TestShiftInvariance:
         assert rewrite_in_z(ChernExpression(ring, c1**40, 40)) is None
 
     def test_expand_to_roots_matches_elementary(self):
-        from projchar.qpoly import elementary_symmetric
-
         ring = chern_ring(3)
         c2 = RationalPoly.gen(ring.c_ring, ring.chern_vars[1])
         assert expand_to_roots(ring, c2) == elementary_symmetric(2, ring.root_vars)
@@ -439,6 +437,15 @@ class TestEndClasses:
         with pytest.raises(ValueError):
             surjectivity_witness(1)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_surjectivity_matches_span_search(self, n):
+        assert surjectivity_witness(n) is span_witness(n)
+
+    def test_surjectivity_builds_no_end_class(self):
+        before = projclass._end_classes.cache_info().currsize
+        assert surjectivity_witness(30) is True
+        assert projclass._end_classes.cache_info().currsize == before
+
 
 class TestHomFlag:
     def test_line_to_line(self):
@@ -460,7 +467,7 @@ class TestHomFlag:
         big = make_ring(*svars, *tvars, d)
         dp = RationalPoly.gen(big, d)
         bindings = {v: RationalPoly.gen(big, v) + dp for v in svars + tvars}
-        assert p.substitute(bindings, target_ring=big) == p.embedded(big)
+        assert p.substitute(bindings, target_ring=big) == embedded(p, big)
 
     def test_j_bounds(self):
         s1, t1 = Variable("s1"), Variable("t1")
@@ -523,12 +530,3 @@ class TestGeneratorCatalog:
         )
         with pytest.raises(ValueError):
             generator_catalog(3, 0, datum, fixed_det=True)
-
-    def test_flag_type_validation(self):
-        with pytest.raises(ValueError):
-            FlagType(()).validate(2)
-        with pytest.raises(ValueError):
-            FlagType((0, 2)).validate(2)
-        with pytest.raises(ValueError):
-            FlagType((1, 2)).validate(2)
-        FlagType((1, 1)).validate(2)

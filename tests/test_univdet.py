@@ -51,6 +51,19 @@ class TestParabolicData:
         with pytest.raises(ValueError, match="sum to"):
             params(3, 1, points=[point()]).validate()
 
+    def test_multiplicities_must_be_non_empty(self):
+        with pytest.raises(ValueError, match="empty multiplicity sequence"):
+            ParabolicDatum((point(ms=(), ws=()),)).validate(2)
+
+    def test_multiplicities_must_be_positive(self):
+        with pytest.raises(ValueError, match="multiplicities must be positive"):
+            ParabolicDatum((point(ms=(0, 2)),)).validate(2)
+
+    def test_blocks_sum_to_the_rank(self):
+        with pytest.raises(ValueError, match="sum to 3, expected 2"):
+            ParabolicDatum((point(ms=(1, 2)),)).validate(2)
+        ParabolicDatum((point(ms=(1, 1)),)).validate(2)
+
     def test_weights_strictly_increasing(self):
         bad = point(ws=("1/2", "1/2"))
         with pytest.raises(ValueError, match="increasing"):
