@@ -32,6 +32,7 @@ class CommandOutput:
     result: Any
     audit: list[str]
     text: str
+    status: int = 0
 
 
 def _emit(out: CommandOutput, as_json: bool) -> None:
@@ -60,11 +61,11 @@ def _parse_params(path: str) -> univdet.ModuliParams:
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _cmd_zbasis(args: argparse.Namespace) -> int:
+def _cmd_zbasis(args: argparse.Namespace) -> CommandOutput:
     ring = projclass.chern_ring(args.n)
     expr = projclass.z_basis(ring, args.k)
     text = expr.poly.to_text()
-    out = CommandOutput(
+    return CommandOutput(
         "zbasis",
         {"n": args.n, "k": args.k},
         text,
@@ -74,16 +75,14 @@ def _cmd_zbasis(args: argparse.Namespace) -> int:
         ],
         text,
     )
-    _emit(out, args.json)
-    return 0
 
 
-def _cmd_lambda_p(args: argparse.Namespace) -> int:
+def _cmd_lambda_p(args: argparse.Namespace) -> CommandOutput:
     data = projclass.lambda_p(args.n, args.k)
     lam = format_fraction(data.lam)
     p_text = data.P.to_text()
     lower = "c1" if args.k == 2 else f"c1 and a2..a{args.k - 1}"
-    out = CommandOutput(
+    return CommandOutput(
         "lambda-p",
         {"n": args.n, "k": args.k},
         {"lambda": lam, "P": p_text},
@@ -94,8 +93,6 @@ def _cmd_lambda_p(args: argparse.Namespace) -> int:
         ],
         f"lambda = {lam}, P = {p_text}",
     )
-    _emit(out, args.json)
-    return 0
 
 
 def _parse_assignments(
@@ -116,27 +113,25 @@ def _parse_assignments(
     return values, echo
 
 
-def _cmd_aclass(args: argparse.Namespace) -> int:
+def _cmd_aclass(args: argparse.Namespace) -> CommandOutput:
     ring = projclass.chern_ring(args.n)
     values, echo = _parse_assignments(args.n, ring, args.set or [])
     results = projclass.a_classes(args.n, values, zero=RationalPoly.zero(ring.c_ring))
     named = {f"a{k}": poly.to_text() for k, poly in enumerate(results, start=2)}
     lines = [f"{name} = {text}" for name, text in named.items()]
-    out = CommandOutput(
+    return CommandOutput(
         "aclass",
         {"n": args.n, "assignments": args.set or []},
         named,
         echo or ["generic Chern classes"],
         "\n".join(lines) if lines else "rank 1 has no canonical classes",
     )
-    _emit(out, args.json)
-    return 0
 
 
-def _cmd_end_chern(args: argparse.Namespace) -> int:
+def _cmd_end_chern(args: argparse.Namespace) -> CommandOutput:
     expr = projclass.end_chern(args.n, args.j)
     text = expr.poly.to_text()
-    out = CommandOutput(
+    return CommandOutput(
         "end-chern",
         {"n": args.n, "j": args.j},
         text,
@@ -147,25 +142,21 @@ def _cmd_end_chern(args: argparse.Namespace) -> int:
         ],
         text,
     )
-    _emit(out, args.json)
-    return 0
 
 
-def _cmd_end_in_a(args: argparse.Namespace) -> int:
+def _cmd_end_in_a(args: argparse.Namespace) -> CommandOutput:
     expr = projclass.end_in_a(args.n, args.j)
     text = expr.poly.to_text()
-    out = CommandOutput(
+    return CommandOutput(
         "end-in-a",
         {"n": args.n, "j": args.j},
         text,
         [f"generators z2..z{args.n} with weight(zk) = k"],
         text,
     )
-    _emit(out, args.json)
-    return 0
 
 
-def _cmd_invariance_check(args: argparse.Namespace) -> int:
+def _cmd_invariance_check(args: argparse.Namespace) -> CommandOutput:
     ring = projclass.chern_ring(args.n)
     poly = parse_poly(args.polynomial, ring.c_ring)
     audit = []
@@ -187,23 +178,24 @@ def _cmd_invariance_check(args: argparse.Namespace) -> int:
     lines = [f"invariant: {'yes' if invariant else 'no'}"]
     if z_text is not None:
         lines.append(f"z-expression: {z_text}")
-    out = CommandOutput(
+    return CommandOutput(
         "invariance-check",
         {"n": args.n, "polynomial": args.polynomial},
         {"invariant": invariant, "z_expression": z_text},
         audit,
         "\n".join(lines),
     )
-    _emit(out, args.json)
-    return 0
 
 
-def _cmd_hom_flag(args: argparse.Namespace) -> int:
+def _cmd_hom_flag(args: argparse.Namespace) -> CommandOutput:
+    for name in ("sub_rank", "target_rank"):
+        if getattr(args, name) < 1:
+            raise ValueError(f"{name} must be positive, got {getattr(args, name)}")
     sub = [Variable(f"s{i}") for i in range(1, args.sub_rank + 1)]
     target = [Variable(f"t{i}") for i in range(1, args.target_rank + 1)]
     poly = projclass.hom_flag_chern(sub, target, args.j)
     text = poly.to_text()
-    out = CommandOutput(
+    return CommandOutput(
         "hom-flag",
         {"sub_rank": args.sub_rank, "target_rank": args.target_rank, "j": args.j},
         text,
@@ -215,11 +207,9 @@ def _cmd_hom_flag(args: argparse.Namespace) -> int:
         ],
         text,
     )
-    _emit(out, args.json)
-    return 0
 
 
-def _cmd_catalog(args: argparse.Namespace) -> int:
+def _cmd_catalog(args: argparse.Namespace) -> CommandOutput:
     params = _parse_params(args.params)
     entries = projclass.generator_catalog(
         params.n, params.g, params.datum, args.fixed_det
@@ -234,21 +224,19 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         f"total: {len(entries)} generators",
     ]
     audit += [f"degree {d}: {c} generator(s)" for d, c in sorted(by_degree.items())]
-    out = CommandOutput(
+    return CommandOutput(
         "catalog",
         {"params": args.params, "fixed_det": args.fixed_det},
         [{"name": name, "degree": deg} for name, deg in entries],
         audit,
         "\n".join(f"{name} degree={deg}" for name, deg in entries),
     )
-    _emit(out, args.json)
-    return 0
 
 
 _CANON_GENERATORS = (("v1", 1), ("v2", 1), ("u1", 2), ("u2", 2))
 
 
-def _cmd_canonicality(args: argparse.Namespace) -> int:
+def _cmd_canonicality(args: argparse.Namespace) -> CommandOutput:
     if args.count < 1:
         raise ValueError(f"count must be positive, got {args.count}")
     algebra = surfalg.ParameterAlgebra(
@@ -275,7 +263,7 @@ def _cmd_canonicality(args: argparse.Namespace) -> int:
         f"h0 shift equals rank*f on every instance: {'yes' if shift_ok else 'no'}",
     ]
     lines += failures
-    out = CommandOutput(
+    return CommandOutput(
         "canonicality",
         {
             "rank": args.rank,
@@ -295,12 +283,11 @@ def _cmd_canonicality(args: argparse.Namespace) -> int:
             f"checks per instance: {2 * args.genus} slants, {args.rank - 1} a-classes",
         ],
         "\n".join(lines),
+        0 if not failures and shift_ok else 1,
     )
-    _emit(out, args.json)
-    return 0 if not failures and shift_ok else 1
 
 
-def _cmd_universal_bundle(args: argparse.Namespace) -> int:
+def _cmd_universal_bundle(args: argparse.Namespace) -> CommandOutput:
     params = _parse_params(args.params)
     report = univdet.check_conditions(params)
     satisfied = list(report.satisfied)
@@ -310,22 +297,25 @@ def _cmd_universal_bundle(args: argparse.Namespace) -> int:
         "witness": args.witness,
     }
     if not satisfied:
-        out = CommandOutput(
+        return CommandOutput(
             "universal-bundle",
             inputs,
             {"satisfied": [], "condition": None, "word": None, "weight": None},
             ["no coprimality condition holds; no weight-1 word exists here"],
             "satisfied: none",
         )
-        _emit(out, args.json)
-        return 0
     condition = args.condition or satisfied[0]
     witness = None
     if args.witness:
         label, _, j_text = args.witness.partition(",")
         if not j_text:
             raise ValueError("witness must be LABEL,J")
-        witness = (label.strip(), int(j_text))
+        try:
+            witness = (label.strip(), int(j_text))
+        except ValueError:
+            raise ValueError(
+                f"witness must be LABEL,J with an integer J, got {args.witness!r}"
+            ) from None
     word = univdet.construct_xi(params, condition, witness)
     weight = univdet.weight_of(word, params)
     audit = univdet.weight_audit(word, params)
@@ -335,7 +325,7 @@ def _cmd_universal_bundle(args: argparse.Namespace) -> int:
         f"word: {word.text()}",
         f"weight: {weight}",
     ]
-    out = CommandOutput(
+    return CommandOutput(
         "universal-bundle",
         inputs,
         {
@@ -347,11 +337,9 @@ def _cmd_universal_bundle(args: argparse.Namespace) -> int:
         audit,
         "\n".join(lines),
     )
-    _emit(out, args.json)
-    return 0
 
 
-def _cmd_selftest(args: argparse.Namespace) -> int:
+def _cmd_selftest(args: argparse.Namespace) -> CommandOutput:
     results = selftest.run()
     failed = sum(r.failed for r in results)
     lines = [
@@ -360,7 +348,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     for r in results:
         lines += [f"  FAIL {r.name}: {label}" for label in r.failures]
     lines.append("all suites passed" if failed == 0 else f"{failed} check(s) failed")
-    out = CommandOutput(
+    return CommandOutput(
         "selftest",
         {},
         [
@@ -374,9 +362,8 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         ],
         [],
         "\n".join(lines),
+        0 if failed == 0 else 1,
     )
-    _emit(out, args.json)
-    return 0 if failed == 0 else 1
 
 
 # -- parser ------------------------------------------------------------------
@@ -482,10 +469,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.handler(args)
+        out = args.handler(args)
+        _emit(out, args.json)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return out.status
 
 
 if __name__ == "__main__":

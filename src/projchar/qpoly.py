@@ -7,12 +7,15 @@ Terms are kept sorted by descending (weight, exponents), which makes the
 representation canonical: two polynomials are equal iff their rings and
 term maps coincide verbatim.
 
-`SparseTerms` is the arithmetic kernel shared by every sparse
-"key -> coefficient" type of the package: `RationalPoly` here and
-`SurfaceClass`, `ParamElement` and `KunnethClass` in `surfalg`.  It holds
-coercion of scalars, +, -, negation, scalar *, ** by square-and-multiply,
-== and repr; each type adds only its constructor (validation and canonical
-term order), three one-line hooks and its own product rule.
+`SparseTerms` is the kernel shared by every sparse "key -> coefficient"
+type of the package: `RationalPoly` here and `SurfaceClass`, `ParamElement`
+and `KunnethClass` in `surfalg`.  It owns the canonical form (check each
+pair, sum equal keys, drop zeros, sort), the text grammar ("0" or terms
+joined by " + "), coercion of scalars, +, -, negation, scalar *, ** by
+square-and-multiply, == and repr.  Each type supplies its key and
+coefficient check, its order key, the text of one term, three one-line
+hooks and its own product rule.  `substitute` is `evaluate` into the
+target ring.
 
 The module also carries `elementary_symmetric_all`, every e_k of a list
 of ring elements in one pass, which the Hom classes of flags are built
@@ -91,23 +94,64 @@ def parse_fraction(text: str) -> Fraction:
 
 
 class SparseTerms:
-    """Arithmetic shared by the sparse "key -> coefficient" types.
+    """Canonical form and arithmetic shared by the sparse "key -> coefficient" types.
 
-    A subclass keeps its canonical term map in `terms` and supplies a
-    constructor that validates the keys, drops zero coefficients and fixes
-    the term order, plus these hooks:
+    A subclass constructor stores its ring or algebra and sets `terms =
+    self._canonical(terms)`: from a Mapping or a sequence of (key,
+    coefficient) pairs the kernel checks each pair, sums equal keys, drops
+    zeros and sorts.  The subclass supplies these hooks:
 
+    - `_entry(key, coef)`: the checked (key, coefficient) pair, or None
+      for a term that is identically zero in the space; raises on a bad
+      key or coefficient;
+    - `_order`: the sort key of a term key (None: the key itself), with
+      `_descending` choosing the direction;
+    - `_term_text(key, coef)`: the text of one term, for `to_text`;
     - `_space()`: the ring or algebra it lives in; operands from different
       spaces raise `ValueError` with the class attribute `_mismatch`;
     - `_make(terms)`: an element of the same space;
     - `_scalar(value)`: an int or Fraction embedded as a constant;
     - `_mul(other)`: the product with an element of the same space.
 
-    Coefficients need +, unary -, and * by a Fraction.  Instances are
-    immutable by convention: no operation mutates an element.
+    Coefficients need +, unary -, * by a Fraction and truth meaning
+    "nonzero"; an element is false exactly when it is zero, so elements can
+    be coefficients.  Instances are immutable by convention.
     """
 
     __slots__ = ()
+    _order: Any = None
+    _descending = False
+
+    def _canonical(self, terms: Any) -> dict:
+        """The canonical term map of a Mapping or a sequence of pairs."""
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        entry = self._entry
+        acc: dict = {}
+        for key, coef in items:
+            checked = entry(key, coef)
+            if checked is not None:
+                key, coef = checked
+                acc[key] = acc[key] + coef if key in acc else coef
+        keys = sorted(
+            (k for k, c in acc.items() if c), key=self._order, reverse=self._descending
+        )
+        return {k: acc[k] for k in keys}
+
+    @staticmethod
+    def _exponents(exps: Iterable[int], size: int, space: str) -> Exponents:
+        """A checked exponent-vector key; `space` formats `size` for the message."""
+        exps = tuple(int(e) for e in exps)
+        if len(exps) != size:
+            raise ValueError(f"exponent vector {exps} does not fit {space.format(size)}")
+        if any(e < 0 for e in exps):
+            raise ValueError(f"negative exponent in {exps}")
+        return exps
+
+    def to_text(self) -> str:
+        """Canonical text: "0", or the terms' texts joined by ' + '."""
+        if not self.terms:
+            return "0"
+        return " + ".join(self._term_text(k, c) for k, c in self.terms.items())
 
     @staticmethod
     def _single_degree(
@@ -122,6 +166,9 @@ class SparseTerms:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def _coerce(self, other: Any) -> Any:
         if isinstance(other, self.__class__):
             if other._space() != self._space():
@@ -135,10 +182,7 @@ class SparseTerms:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out = dict(self.terms)
-        for key, coef in rhs.terms.items():
-            out[key] = out[key] + coef if key in out else coef
-        return self._make(out)
+        return self._make([*self.terms.items(), *rhs.terms.items()])
 
     __radd__ = __add__
 
@@ -204,29 +248,12 @@ class RationalPoly(SparseTerms):
 
     __slots__ = ("ring", "terms", "_weights")
     _mismatch = "ring mismatch"
+    _descending = True
 
     def __init__(self, ring: Iterable[Variable], terms: Any = ()) -> None:
-        ring = make_ring(*ring)
-        weights = tuple(v.weight for v in ring)
-        acc: dict[Exponents, Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for exps, coef in items:
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != len(ring):
-                raise ValueError(
-                    f"exponent vector {exps} does not fit a ring of {len(ring)} variables"
-                )
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
-            acc[exps] = acc.get(exps, Fraction(0)) + Fraction(coef)
-        ordered = sorted(
-            ((e, c) for e, c in acc.items() if c != 0),
-            key=lambda item: (sum(w * x for w, x in zip(weights, item[0])), item[0]),
-            reverse=True,
-        )
-        self.ring = ring
-        self.terms = dict(ordered)
-        self._weights = weights
+        self.ring = make_ring(*ring)
+        self._weights = tuple(v.weight for v in self.ring)
+        self.terms = self._canonical(terms)
 
     # -- constructors ---------------------------------------------------
 
@@ -281,7 +308,17 @@ class RationalPoly(SparseTerms):
         w = self.homogeneous_weight()
         return None if w is None else 2 * w
 
-    # -- arithmetic hooks (SparseTerms) -------------------------------------
+    # -- kernel hooks (SparseTerms) -----------------------------------------
+
+    def _entry(self, exps: Sequence[int], coef: Any) -> tuple[Exponents, Fraction]:
+        size = len(self.ring)
+        return self._exponents(exps, size, "a ring of {} variables"), Fraction(coef)
+
+    def _order(self, exps: Exponents) -> tuple[int, Exponents]:
+        return self.term_weight(exps), exps
+
+    def _term_text(self, exps: Exponents, coef: Fraction) -> str:
+        return "*".join([format_fraction(coef), *self._factors(exps)])
 
     def _space(self) -> Ring:
         return self.ring
@@ -317,7 +354,9 @@ class RationalPoly(SparseTerms):
         """Apply the ring map sending each bound variable to its image.
 
         Unbound variables pass through unchanged and must therefore exist in
-        the target ring whenever they actually occur.
+        the target ring whenever they actually occur.  After these checks the
+        map is `evaluate` into the target ring, with every unbound variable
+        sent to its own generator.
         """
         for v in bindings:
             if v not in self.ring:
@@ -333,28 +372,15 @@ class RationalPoly(SparseTerms):
             raise ValueError("images live in different rings; pass target_ring")
         if any(r != target for r in image_rings):
             raise ValueError("image ring differs from the target ring")
+        values = dict(bindings)
         for pos, v in enumerate(self.ring):
-            if v in bindings or v in target:
+            if v in bindings:
                 continue
-            if any(exps[pos] for exps in self.terms):
+            if v in target:
+                values[v] = RationalPoly.gen(target, v)
+            elif any(exps[pos] for exps in self.terms):
                 raise ValueError(f"unbound variable {v.name!r} is missing from the target ring")
-        out = RationalPoly.zero(target)
-        powers: dict[tuple[int, int], RationalPoly] = {}
-        for exps, coef in self.terms.items():
-            term = RationalPoly.const(target, coef)
-            for pos, e in enumerate(exps):
-                if not e:
-                    continue
-                piece = powers.get((pos, e))
-                if piece is None:
-                    img = bindings.get(self.ring[pos])
-                    if img is None:
-                        img = RationalPoly.gen(target, self.ring[pos])
-                    piece = img**e
-                    powers[(pos, e)] = piece
-                term = term * piece
-            out = out + term
-        return out
+        return self.evaluate(values, zero=RationalPoly.zero(target))
 
     def evaluate(self, values: Mapping[Variable, Any], zero: Any = Fraction(0)) -> Any:
         """Evaluate in an arbitrary commutative coefficient ring.
@@ -405,15 +431,6 @@ class RationalPoly(SparseTerms):
 
     # -- serialization ------------------------------------------------------
 
-    def to_text(self) -> str:
-        """Canonical text: terms joined by ' + ', factors by '*'."""
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            "*".join([format_fraction(coef), *self._factors(exps)])
-            for exps, coef in self.terms.items()
-        )
-
     def _factors(self, exps: Exponents) -> list[str]:
         return [
             v.name if e == 1 else f"{v.name}^{e}"
@@ -441,7 +458,7 @@ def parse_poly(text: str, ring: Iterable[Variable]) -> RationalPoly:
     src = text.strip()
     if not src:
         raise ValueError("empty polynomial text")
-    terms: dict[Exponents, Fraction] = {}
+    terms: list[tuple[Exponents, Fraction]] = []
     for chunk in src.split("+"):
         chunk = chunk.strip()
         if not chunk:
@@ -459,8 +476,7 @@ def parse_poly(text: str, ring: Iterable[Variable]) -> RationalPoly:
             if name not in by_name:
                 raise ValueError(f"unknown variable {name!r}")
             exps[by_name[name]] += exp
-        key = tuple(exps)
-        terms[key] = terms.get(key, Fraction(0)) + coef
+        terms.append((tuple(exps), coef))
     return RationalPoly(ring, terms)
 
 
@@ -551,7 +567,7 @@ def express_in_elementary(
     gens = [RationalPoly.gen(src_ring, v) for v in variables]
     es = elementary_symmetric_all(gens, src_ring)
     work = proj
-    out_terms: dict[Exponents, Fraction] = {}
+    out_terms: list[tuple[Exponents, Fraction]] = []
     while work.terms:
         lead = max(work.terms)
         coef = work.terms[lead]
@@ -560,7 +576,7 @@ def express_in_elementary(
         e_exps = tuple(
             lead[i] - (lead[i + 1] if i + 1 < n else 0) for i in range(n)
         )
-        out_terms[e_exps] = out_terms.get(e_exps, Fraction(0)) + coef
+        out_terms.append((e_exps, coef))
         prod = RationalPoly.const(src_ring, 1)
         for i, e in enumerate(e_exps):
             if e:

@@ -42,11 +42,10 @@ class _Checker:
 def _random_poly(
     rng: Random, ring: qpoly.Ring, max_terms: int = 4, max_exp: int = 2
 ) -> qpoly.RationalPoly:
-    terms = {}
+    terms = []
     for _ in range(rng.randint(1, max_terms)):
         exps = tuple(rng.randint(0, max_exp) for _ in ring)
-        coef = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-        terms[exps] = terms.get(exps, Fraction(0)) + coef
+        terms.append((exps, Fraction(rng.randint(-5, 5), rng.randint(1, 3))))
     return qpoly.RationalPoly(ring, terms)
 
 

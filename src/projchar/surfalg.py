@@ -9,12 +9,13 @@ graded-commutative parameter algebra, truncated above a degree bound.  The
 slant product contracts the surface leg against a homology class; the sign
 conventions are fixed here once and exercised by the tests.
 
-`SurfaceClass`, `ParamElement` and `KunnethClass` take +, -, scalar *,
-** (square-and-multiply), == and repr from the kernel `qpoly.SparseTerms`.
-Each adds only its constructor, which validates keys and fixes the term
-order, and its product rule: the `basis_mul` table for surface classes,
-exponent sums with the Koszul sign for parameter monomials, and both for
-Kunneth classes.
+`SurfaceClass`, `ParamElement` and `KunnethClass` take their canonical
+form (sum equal keys, drop zeros, sort), `to_text`, +, -, scalar *, **
+(square-and-multiply), == and repr from the kernel `qpoly.SparseTerms`.
+Each supplies only its key and coefficient check (for `ParamElement` also
+the truncation), its order key, the text of one term and its product
+rule: the `basis_mul` table for surface classes, exponent sums with the
+Koszul sign for parameter monomials, and both for Kunneth classes.
 
 The payoff is `canonicality_check`: twisting a rank-n Chern list by a
 degree-2 parameter class must leave both the degree-1 slants of c_1 and all
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from random import Random
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from .projclass import a_classes, twist
 from .qpoly import SparseTerms, format_fraction
@@ -130,13 +131,8 @@ class SurfaceClass(SparseTerms):
     _mismatch = "surface ring mismatch"
 
     def __init__(self, ring: SurfaceRing, terms: Any = ()) -> None:
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[BasisKey, Fraction] = {}
-        for key, coef in items:
-            key = ring.check_key(tuple(key))
-            acc[key] = acc.get(key, Fraction(0)) + Fraction(coef)
         self.ring = ring
-        self.terms = {k: c for k, c in sorted(acc.items()) if c != 0}
+        self.terms = self._canonical(terms)
 
     @classmethod
     def zero(cls, ring: SurfaceRing) -> "SurfaceClass":
@@ -160,6 +156,13 @@ class SurfaceClass(SparseTerms):
 
     def degree(self) -> int | None:
         return self._single_degree(k[0] for k in self.terms)
+
+    def _entry(self, key: Sequence[int], coef: Any) -> tuple[BasisKey, Fraction]:
+        return self.ring.check_key(tuple(key)), Fraction(coef)
+
+    def _term_text(self, key: BasisKey, coef: Fraction) -> str:
+        head = format_fraction(coef)
+        return head if key == K_ONE else f"{head}*{self.ring.name(key)}"
 
     def _space(self) -> SurfaceRing:
         return self.ring
@@ -186,16 +189,6 @@ class SurfaceClass(SparseTerms):
         if z.ring != self.ring:
             raise ValueError("surface ring mismatch")
         return self.terms.get(z.key, Fraction(0))
-
-    def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for key, coef in self.terms.items():
-            name = self.ring.name(key)
-            head = format_fraction(coef)
-            parts.append(head if key == K_ONE else f"{head}*{name}")
-        return " + ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -347,28 +340,8 @@ class ParamElement(SparseTerms):
     _mismatch = "parameter algebra mismatch"
 
     def __init__(self, algebra: ParameterAlgebra, terms: Any = ()) -> None:
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Exponents, Fraction] = {}
-        for exps, coef in items:
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != len(algebra.generators):
-                raise ValueError(
-                    f"exponent vector {exps} does not fit"
-                    f" {len(algebra.generators)} generators"
-                )
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
-            if any(e > 1 for e, odd in zip(exps, algebra.odd_flags) if odd):
-                continue
-            if algebra.monomial_degree(exps) > algebra.max_degree:
-                continue
-            acc[exps] = acc.get(exps, Fraction(0)) + Fraction(coef)
-        ordered = sorted(
-            ((e, c) for e, c in acc.items() if c != 0),
-            key=lambda item: (algebra.monomial_degree(item[0]), item[0]),
-        )
         self.algebra = algebra
-        self.terms = dict(ordered)
+        self.terms = self._canonical(terms)
 
     def cohomological_degree(self) -> int | None:
         return self._single_degree(map(self.algebra.monomial_degree, self.terms))
@@ -384,6 +357,29 @@ class ParamElement(SparseTerms):
                 for e, c in self.terms.items()
             },
         )
+
+    def _entry(
+        self, exps: Sequence[int], coef: Any
+    ) -> Optional[tuple[Exponents, Fraction]]:
+        algebra = self.algebra
+        exps = self._exponents(exps, len(algebra.generators), "{} generators")
+        if any(e > 1 for e, odd in zip(exps, algebra.odd_flags) if odd):
+            return None
+        if algebra.monomial_degree(exps) > algebra.max_degree:
+            return None
+        return exps, Fraction(coef)
+
+    def _order(self, exps: Exponents) -> tuple[int, Exponents]:
+        return self.algebra.monomial_degree(exps), exps
+
+    def _term_text(self, exps: Exponents, coef: Fraction) -> str:
+        factors = [format_fraction(coef)]
+        for (name, _), e in zip(self.algebra.generators, exps):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        return "*".join(factors)
 
     def _space(self) -> ParameterAlgebra:
         return self.algebra
@@ -403,20 +399,6 @@ class ParamElement(SparseTerms):
                 sign = self.algebra.koszul_sign(e1, e2)
                 out[key] = out.get(key, Fraction(0)) + sign * c1 * c2
         return ParamElement(self.algebra, out)
-
-    def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps, coef in self.terms.items():
-            factors = [format_fraction(coef)]
-            for (name, _), e in zip(self.algebra.generators, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
 
 
 # -- Kunneth classes -------------------------------------------------------------
@@ -438,18 +420,9 @@ class KunnethClass(SparseTerms):
         ring: SurfaceRing,
         parts: Any = (),
     ) -> None:
-        items = parts.items() if isinstance(parts, Mapping) else parts
-        acc: dict[BasisKey, ParamElement] = {}
-        for key, elt in items:
-            key = ring.check_key(tuple(key))
-            if not isinstance(elt, ParamElement):
-                raise TypeError("part values must be ParamElement")
-            if elt.algebra != algebra:
-                raise ValueError("parameter algebra mismatch in parts")
-            acc[key] = acc[key] + elt if key in acc else elt
         self.algebra = algebra
         self.ring = ring
-        self.terms = {k: v for k, v in sorted(acc.items()) if not v.is_zero()}
+        self.terms = self._canonical(parts)
 
     @classmethod
     def zero(cls, algebra: ParameterAlgebra, ring: SurfaceRing) -> "KunnethClass":
@@ -492,6 +465,19 @@ class KunnethClass(SparseTerms):
             for e in elt.terms
         )
 
+    def _entry(
+        self, key: Sequence[int], elt: ParamElement
+    ) -> tuple[BasisKey, ParamElement]:
+        key = self.ring.check_key(tuple(key))
+        if not isinstance(elt, ParamElement):
+            raise TypeError("part values must be ParamElement")
+        if elt.algebra != self.algebra:
+            raise ValueError("parameter algebra mismatch in parts")
+        return key, elt
+
+    def _term_text(self, key: BasisKey, elt: ParamElement) -> str:
+        return f"({elt.to_text()}) ⊗ {self.ring.name(key)}"
+
     def _space(self) -> tuple[ParameterAlgebra, SurfaceRing]:
         return (self.algebra, self.ring)
 
@@ -516,14 +502,6 @@ class KunnethClass(SparseTerms):
                 prod = (p1 * p2.sign_twist(d1)) * sign
                 out[key] = out[key] + prod if key in out else prod
         return KunnethClass(self.algebra, self.ring, out)
-
-    def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            f"({elt.to_text()}) ⊗ {self.ring.name(key)}"
-            for key, elt in self.terms.items()
-        )
 
 
 def slant(a: KunnethClass, z: HomologyClass) -> ParamElement:
@@ -640,10 +618,8 @@ def random_param_element(
     monos = algebra.monomials_of_degree(degree)
     if not monos:
         return algebra.zero()
-    terms: dict[Exponents, Fraction] = {}
-    for _ in range(rng.randint(1, max_terms)):
-        m = rng.choice(monos)
-        terms[m] = terms.get(m, Fraction(0)) + rng.choice(_COEF_POOL)
+    count = rng.randint(1, max_terms)
+    terms = [(rng.choice(monos), rng.choice(_COEF_POOL)) for _ in range(count)]
     return ParamElement(algebra, terms)
 
 
@@ -661,9 +637,8 @@ def random_kunneth(
             options.append((key, m))
     if not options:
         return KunnethClass.zero(algebra, ring)
-    parts: dict[BasisKey, ParamElement] = {}
+    parts = []
     for _ in range(rng.randint(1, max_terms)):
         key, m = rng.choice(options)
-        piece = ParamElement(algebra, {m: rng.choice(_COEF_POOL)})
-        parts[key] = parts[key] + piece if key in parts else piece
+        parts.append((key, ParamElement(algebra, {m: rng.choice(_COEF_POOL)})))
     return KunnethClass(algebra, ring, parts)

@@ -207,6 +207,16 @@ class TestUniversalBundle:
         assert code == 1
         assert "LABEL,J" in err
 
+    def test_non_integer_witness_index_names_the_option(self, capsys, tmp_path):
+        doc = tmp_path / "params.txt"
+        doc.write_text(PARABOLIC_DOC)
+        code, out, err = run(
+            capsys, "universal-bundle", str(doc), "--condition", "C2", "--witness", "x,y"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: witness must be LABEL,J with an integer J, got 'x,y'\n"
+
     def test_stdin_document(self, capsys, monkeypatch):
         import io
 
@@ -258,6 +268,22 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err == "error: rank must be positive, got 0\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("-1", "3", "1"), "sub_rank must be positive, got -1"),
+            (("2", "-3", "1"), "target_rank must be positive, got -3"),
+            (("0", "0", "5"), "sub_rank must be positive, got 0"),
+        ],
+    )
+    def test_hom_flag_non_positive_rank_is_reported_before_j(
+        self, capsys, argv, message
+    ):
+        code, out, err = run(capsys, "hom-flag", *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_rank_five_end_classes_are_bounded(self, capsys):
         projclass._end_classes.cache_clear()

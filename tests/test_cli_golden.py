@@ -1,0 +1,177 @@
+"""Golden CLI sweep: every subcommand, text and --json, byte for byte.
+
+Each line of tests/golden/cli_sweep.txt holds one invocation's argv (as a
+JSON list), its exit code and the sha256 of its stdout and of its stderr.
+The sweep covers every subcommand in text and --json, including rank-0,
+out-of-range and malformed inputs.  The parameter documents named in the
+argv are written to a scratch directory that is the working directory
+while the sweep runs, so their relative names appear verbatim in --json
+inputs and error messages.
+
+Regenerate the file after an intended output change with
+
+    PYTHONPATH=src python3 tests/test_cli_golden.py > tests/golden/cli_sweep.txt
+
+and check that `git diff` touches only the lines of the invocations whose
+output was meant to change.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+from projchar.cli import main
+
+GOLDEN = Path(__file__).parent / "golden" / "cli_sweep.txt"
+
+DOCUMENTS = {
+    "newstead.txt": "n = 2\nd = 1\ng = 2\n",
+    "parabolic.txt": (
+        "n = 2\nd = 0\ng = 0\npoint = x\nmultiplicities = 1 1\nweights = 0 1/2\n"
+    ),
+    "two_points.txt": (
+        "n = 3\nd = 0\ng = 1\n"
+        "point = x\nmultiplicities = 1 2\nweights = 0 1/3\n"
+        "point = y\nmultiplicities = 2 1\nweights = 0 1/2\n"
+    ),
+    "no_condition.txt": (
+        "n = 4\nd = 2\ng = 0\npoint = x\nmultiplicities = 2 2\nweights = 0 1/2\n"
+    ),
+    "rank_three.txt": "n = 3\nd = 1\ng = 2\n",
+    "malformed.txt": "n = 2\nthis line has no equals sign\n",
+}
+
+# each entry runs once as written and once with --json appended
+INVOCATIONS = [
+    ["zbasis", "2", "2"],
+    ["zbasis", "3", "3"],
+    ["zbasis", "4", "3"],
+    ["zbasis", "5", "5"],
+    ["zbasis", "0", "2"],
+    ["zbasis", "-1", "2"],
+    ["zbasis", "2", "1"],
+    ["zbasis", "2", "3"],
+    ["lambda-p", "2", "2"],
+    ["lambda-p", "3", "2"],
+    ["lambda-p", "3", "3"],
+    ["lambda-p", "4", "4"],
+    ["lambda-p", "0", "2"],
+    ["lambda-p", "3", "1"],
+    ["lambda-p", "2", "3"],
+    ["aclass", "1"],
+    ["aclass", "2"],
+    ["aclass", "3"],
+    ["aclass", "3", "--set", "c1=0", "--set", "c2=0"],
+    ["aclass", "3", "--set", "c2=1/2*c1^2", "--set", "c3=1*c1*c2"],
+    ["aclass", "3", "--set", "c2=1*c1^2 + 1/2*c3"],
+    ["aclass", "2", "--set", "c1=2"],
+    ["aclass", "2", "--set", "c5=1"],
+    ["aclass", "2", "--set", "bad"],
+    ["aclass", "0"],
+    ["end-chern", "2", "2"],
+    ["end-chern", "3", "2"],
+    ["end-chern", "3", "3"],
+    ["end-chern", "3", "6"],
+    ["end-chern", "4", "4"],
+    ["end-chern", "0", "1"],
+    ["end-chern", "2", "0"],
+    ["end-chern", "2", "5"],
+    ["end-in-a", "2", "2"],
+    ["end-in-a", "3", "4"],
+    ["end-in-a", "3", "6"],
+    ["end-in-a", "4", "6"],
+    ["end-in-a", "0", "1"],
+    ["end-in-a", "2", "0"],
+    ["end-in-a", "3", "10"],
+    ["invariance-check", "2", "1*c2 + -1/4*c1^2"],
+    ["invariance-check", "2", "1*c1"],
+    ["invariance-check", "2", "1*c2 + -1/4*c1^2 + 3"],
+    ["invariance-check", "3", "1*c1^40"],
+    ["invariance-check", "3", "-1*c1^2 + 3*c2"],
+    ["invariance-check", "3", "0"],
+    ["invariance-check", "2", "1*c3"],
+    ["invariance-check", "2", "("],
+    ["invariance-check", "0", "1"],
+    ["hom-flag", "1", "2", "2"],
+    ["hom-flag", "2", "2", "3"],
+    ["hom-flag", "2", "3", "1"],
+    ["hom-flag", "1", "1", "1"],
+    ["hom-flag", "0", "2", "1"],
+    ["hom-flag", "-1", "3", "1"],
+    ["hom-flag", "2", "-3", "1"],
+    ["hom-flag", "2", "0", "1"],
+    ["hom-flag", "2", "2", "0"],
+    ["hom-flag", "1", "1", "2"],
+    ["catalog", "newstead.txt"],
+    ["catalog", "newstead.txt", "--fixed-det"],
+    ["catalog", "parabolic.txt", "--fixed-det"],
+    ["catalog", "two_points.txt"],
+    ["catalog", "malformed.txt"],
+    ["catalog", "missing.txt"],
+    ["canonicality", "2", "1", "--count", "3"],
+    ["canonicality", "2", "2", "--seed", "9", "--count", "2"],
+    ["canonicality", "3", "1", "--seed", "4", "--count", "1"],
+    ["canonicality", "2", "0", "--count", "2"],
+    ["canonicality", "2", "1", "--count", "0"],
+    ["canonicality", "0", "1"],
+    ["universal-bundle", "newstead.txt"],
+    ["universal-bundle", "parabolic.txt", "--condition", "C2", "--witness", "x,2"],
+    ["universal-bundle", "two_points.txt"],
+    ["universal-bundle", "two_points.txt", "--condition", "C3"],
+    ["universal-bundle", "no_condition.txt"],
+    ["universal-bundle", "rank_three.txt", "--witness", "nosuch,1"],
+    ["universal-bundle", "parabolic.txt", "--witness", "x"],
+    ["universal-bundle", "parabolic.txt", "--condition", "C2", "--witness", "x,y"],
+    ["universal-bundle", "malformed.txt"],
+    ["universal-bundle", "missing.txt"],
+    ["selftest"],
+]
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _run(argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return (
+        f"{json.dumps(argv, ensure_ascii=False)} exit={code}"
+        f" stdout={_digest(out.getvalue())} stderr={_digest(err.getvalue())}"
+    )
+
+
+def sweep_lines() -> list[str]:
+    """Run the whole sweep inside a scratch directory holding DOCUMENTS."""
+    previous = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        for name, text in DOCUMENTS.items():
+            Path(scratch, name).write_text(text, encoding="utf-8")
+        os.chdir(scratch)
+        try:
+            return [
+                _run(argv + extra) for argv in INVOCATIONS for extra in ([], ["--json"])
+            ]
+        finally:
+            os.chdir(previous)
+
+
+def test_cli_sweep_matches_golden_file():
+    expected = GOLDEN.read_text(encoding="utf-8").splitlines()
+    actual = sweep_lines()
+    for want, got in zip(expected, actual):
+        assert got == want, f"first differing invocation:\n  want {want}\n  got  {got}"
+    assert len(actual) == len(expected), (
+        f"sweep has {len(actual)} invocations, golden file {len(expected)};"
+        " regenerate it (see the module docstring)"
+    )
+
+
+if __name__ == "__main__":
+    sys.stdout.write("\n".join(sweep_lines()) + "\n")

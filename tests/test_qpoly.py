@@ -201,6 +201,15 @@ class TestSubstituteEvaluate:
         out = p.substitute({X: RationalPoly.gen(target, w)}, target_ring=target)
         assert out.to_text() == "1*w*z"
 
+    def test_unbound_variable_passes_into_larger_target(self):
+        p = parse_poly("2*x*z + 1*z^2 + 5", RING)
+        w, u = Variable("w"), Variable("u", 2)
+        target = make_ring(w, Z, Y, u)
+        out = p.substitute({X: RationalPoly.gen(target, w) + 1}, target_ring=target)
+        assert out.ring == target
+        assert out == parse_poly("2*w*z + 2*z + 1*z^2 + 5", target)
+        assert out.to_text() == "2*w*z + 1*z^2 + 2*z + 5"
+
     def test_evaluate_numeric(self):
         p = parse_poly("1*x^2 + -1*y + 3", RING)
         val = p.evaluate({X: Fraction(2), Y: Fraction(5), Z: Fraction(0)})

@@ -1,6 +1,8 @@
 """The shared sparse-term kernel, exercised through all four element types."""
 
+import itertools
 import random
+from fractions import Fraction
 from functools import reduce
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from projchar.qpoly import RationalPoly, SparseTerms, Variable, make_ring
 from projchar.surfalg import (
     KunnethClass,
+    ParamElement,
     ParameterAlgebra,
     SurfaceClass,
     SurfaceRing,
@@ -124,3 +127,113 @@ class TestSpaces:
     @pytest.mark.parametrize("a, b, message", _cross_space_pairs())
     def test_repr_names_the_type(self, a, b, message):
         assert repr(a) == f"{type(a).__name__}({a.to_text()})"
+
+
+# -- canonical form ------------------------------------------------------------
+
+
+def _fraction(rng):
+    return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+
+
+def _canonical_cases():
+    """Per type: (build from pairs, candidate keys, random coefficient, sort).
+
+    The order oracle is the documented term order, written out independently
+    of the kernel: RationalPoly descends by (weight, exponents), the other
+    types ascend (ParamElement by (degree, exponents), the surface types by
+    basis key).
+    """
+    x, y, z = Variable("x"), Variable("y", 2), Variable("z", 3)
+    ring = make_ring(x, y, z)
+    weights = (1, 2, 3)
+    algebra = ParameterAlgebra(GENS, 4)
+    surface = SurfaceRing(2)
+
+    def param(rng):
+        return random_param_element(rng, algebra, rng.randint(0, 3))
+
+    return {
+        "RationalPoly": (
+            lambda pairs: RationalPoly(ring, pairs),
+            list(itertools.product(range(3), repeat=3)),
+            _fraction,
+            lambda ks: sorted(
+                ks,
+                key=lambda e: (sum(w * a for w, a in zip(weights, e)), e),
+                reverse=True,
+            ),
+        ),
+        "SurfaceClass": (
+            lambda pairs: SurfaceClass(surface, pairs),
+            list(surface.basis),
+            _fraction,
+            sorted,
+        ),
+        # includes keys that square an odd generator or pass the truncation,
+        # which the kernel must drop
+        "ParamElement": (
+            lambda pairs: ParamElement(algebra, pairs),
+            list(itertools.product(range(3), repeat=4)),
+            _fraction,
+            lambda ks: sorted(ks, key=lambda e: (algebra.monomial_degree(e), e)),
+        ),
+        "KunnethClass": (
+            lambda pairs: KunnethClass(algebra, surface, pairs),
+            list(surface.basis),
+            param,
+            sorted,
+        ),
+    }
+
+
+def _split(rng, coef, parts):
+    """`parts` summands adding up to coef exactly."""
+    pieces = [coef * Fraction(rng.randint(-3, 3), 2) for _ in range(parts - 1)]
+    rest = coef
+    for piece in pieces:
+        rest = rest - piece
+    return [*pieces, rest]
+
+
+class TestCanonicalForm:
+    @pytest.mark.parametrize("kind", list(_canonical_cases()))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_shuffled_pairs_match_the_summed_map(self, kind, seed):
+        build, keys, coef, _ = _canonical_cases()[kind]
+        rng = random.Random(seed)
+        summed = {k: coef(rng) for k in rng.sample(keys, rng.randint(1, len(keys)))}
+        pairs = []
+        for key, value in summed.items():
+            pairs += [(key, part) for part in _split(rng, value, rng.randint(1, 3))]
+        for key in rng.sample(keys, 4):
+            value = coef(rng)
+            pairs += [(key, value), (key, -value)]
+        rng.shuffle(pairs)
+        reference = build(summed)
+        for element in (build(pairs), build(iter(pairs))):
+            assert element.terms == reference.terms
+            assert list(element.terms) == list(reference.terms)
+            assert element.to_text() == reference.to_text()
+
+    @pytest.mark.parametrize("kind", list(_canonical_cases()))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_terms_are_nonzero_and_in_documented_order(self, kind, seed):
+        build, keys, coef, documented_sort = _canonical_cases()[kind]
+        rng = random.Random(50 + seed)
+        element = build([(rng.choice(keys), coef(rng)) for _ in range(12)])
+        assert all(c != 0 for c in element.terms.values())
+        assert list(element.terms) == documented_sort(element.terms)
+
+    @pytest.mark.parametrize("kind", list(_canonical_cases()))
+    def test_pairs_summing_to_zero_give_the_zero_element(self, kind):
+        build, keys, coef, _ = _canonical_cases()[kind]
+        rng = random.Random(7)
+        pairs = []
+        for key in keys[:5]:
+            value = coef(rng)
+            pairs += [(key, value), (key, -value)]
+        rng.shuffle(pairs)
+        zero = build(pairs)
+        assert zero.terms == {} and zero.is_zero() and not zero
+        assert zero.to_text() == "0"
