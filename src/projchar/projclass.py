@@ -320,7 +320,10 @@ def a_classes(
         raise ValueError(f"got {len(values)} Chern values for rank {rank}")
     values += [zero] * (rank - len(values))
     for i, v in enumerate(values, start=1):
-        deg = _coefficient_degree(v)
+        try:
+            deg = _coefficient_degree(v)
+        except ValueError as exc:  # "not homogeneous: ..."
+            raise ValueError(f"value for c{i} is {exc}") from None
         if deg is not None and deg != 2 * i:
             raise ValueError(f"value for c{i} has degree {deg}, expected {2 * i}")
     ring = chern_ring(rank)

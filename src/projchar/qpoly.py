@@ -11,11 +11,11 @@ term maps coincide verbatim.
 type of the package: `RationalPoly` here and `SurfaceClass`, `ParamElement`
 and `KunnethClass` in `surfalg`.  It owns the canonical form (check each
 pair, sum equal keys, drop zeros, sort), the text grammar ("0" or terms
-joined by " + "), coercion of scalars, +, -, negation, scalar *, ** by
-square-and-multiply, == and repr.  Each type supplies its key and
-coefficient check, its order key, the text of one term, three one-line
-hooks and its own product rule.  `substitute` is `evaluate` into the
-target ring.
+joined by " + "), the product loop, scalar coercion, +, -, negation,
+scalar *, ** by square-and-multiply, == and repr.  Each type supplies its
+key and coefficient check, its order key, the text of one term, the
+product of two terms (here the exponent sum) and two one-line hooks.
+`substitute` is `evaluate` into the target ring.
 
 The module also carries `elementary_symmetric_all`, every e_k of a list
 of ring elements in one pass, which the Hom classes of flags are built
@@ -32,6 +32,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Any, Iterable, Mapping, Sequence
 
 __all__ = [
@@ -107,11 +108,11 @@ class SparseTerms:
     - `_order`: the sort key of a term key (None: the key itself), with
       `_descending` choosing the direction;
     - `_term_text(key, coef)`: the text of one term, for `to_text`;
-    - `_space()`: the ring or algebra it lives in; operands from different
-      spaces raise `ValueError` with the class attribute `_mismatch`;
-    - `_make(terms)`: an element of the same space;
-    - `_scalar(value)`: an int or Fraction embedded as a constant;
-    - `_mul(other)`: the product with an element of the same space.
+    - `_times(k1, c1, k2, c2)`: the product of two terms as a (key, coef)
+      pair, or None when it is zero; `_mul` sums these over all pairs;
+    - `_space()`: the constructor's arguments before the terms, as a tuple;
+      operands from different spaces raise `ValueError` with `_mismatch`;
+    - `_scalar(value)`: an int or Fraction embedded as a constant.
 
     Coefficients need +, unary -, * by a Fraction and truth meaning
     "nonzero"; an element is false exactly when it is zero, so elements can
@@ -146,6 +147,22 @@ class SparseTerms:
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in {exps}")
         return exps
+
+    def _make(self, terms: Any) -> Any:
+        """An element of the same space, from a term map or pairs."""
+        return type(self)(*self._space(), terms)
+
+    def _mul(self, other: Any) -> Any:
+        """The product with an element of the same space, term by term."""
+        times = self._times
+        acc: dict = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                hit = times(k1, c1, k2, c2)
+                if hit is not None:
+                    key, coef = hit
+                    acc[key] = acc[key] + coef if key in acc else coef
+        return self._make(acc)
 
     def to_text(self) -> str:
         """Canonical text: "0", or the terms' texts joined by ' + '."""
@@ -320,22 +337,16 @@ class RationalPoly(SparseTerms):
     def _term_text(self, exps: Exponents, coef: Fraction) -> str:
         return "*".join([format_fraction(coef), *self._factors(exps)])
 
-    def _space(self) -> Ring:
-        return self.ring
+    def _times(
+        self, e1: Exponents, c1: Fraction, e2: Exponents, c2: Fraction
+    ) -> tuple[Exponents, Fraction]:
+        return tuple(map(add, e1, e2)), c1 * c2
 
-    def _make(self, terms: dict[Exponents, Fraction]) -> "RationalPoly":
-        return RationalPoly(self.ring, terms)
+    def _space(self) -> tuple[Ring]:
+        return (self.ring,)
 
     def _scalar(self, value: Any) -> "RationalPoly":
         return RationalPoly.const(self.ring, value)
-
-    def _mul(self, other: "RationalPoly") -> "RationalPoly":
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return RationalPoly(self.ring, out)
 
     def __truediv__(self, other: Any) -> "RationalPoly":
         if isinstance(other, (int, Fraction)):

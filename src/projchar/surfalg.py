@@ -10,11 +10,11 @@ slant product contracts the surface leg against a homology class; the sign
 conventions are fixed here once and exercised by the tests.
 
 `SurfaceClass`, `ParamElement` and `KunnethClass` take their canonical
-form (sum equal keys, drop zeros, sort), `to_text`, +, -, scalar *, **
-(square-and-multiply), == and repr from the kernel `qpoly.SparseTerms`.
-Each supplies only its key and coefficient check (for `ParamElement` also
-the truncation), its order key, the text of one term and its product
-rule: the `basis_mul` table for surface classes, exponent sums with the
+form (sum equal keys, drop zeros, sort), `to_text`, the product loop, +,
+-, scalar *, **, == and repr from the kernel `qpoly.SparseTerms`.  Each
+supplies only its key and coefficient check (for `ParamElement` also the
+truncation), its order key, the text of one term and the product of two
+terms: the `basis_mul` table for surface classes, exponent sums with the
 Koszul sign for parameter monomials, and both for Kunneth classes.
 
 The payoff is `canonicality_check`: twisting a rank-n Chern list by a
@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 from random import Random
 from typing import Any, Optional, Sequence
 
@@ -164,25 +165,20 @@ class SurfaceClass(SparseTerms):
         head = format_fraction(coef)
         return head if key == K_ONE else f"{head}*{self.ring.name(key)}"
 
-    def _space(self) -> SurfaceRing:
-        return self.ring
+    def _times(
+        self, k1: BasisKey, c1: Fraction, k2: BasisKey, c2: Fraction
+    ) -> Optional[tuple[BasisKey, Fraction]]:
+        hit = self.ring.basis_mul(k1, k2)
+        if hit is None:
+            return None
+        sign, key = hit
+        return key, sign * c1 * c2
 
-    def _make(self, terms: dict[BasisKey, Fraction]) -> "SurfaceClass":
-        return SurfaceClass(self.ring, terms)
+    def _space(self) -> tuple[SurfaceRing]:
+        return (self.ring,)
 
     def _scalar(self, value: Any) -> "SurfaceClass":
-        return SurfaceClass(self.ring, {K_ONE: value})
-
-    def _mul(self, other: "SurfaceClass") -> "SurfaceClass":
-        out: dict[BasisKey, Fraction] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                hit = self.ring.basis_mul(k1, k2)
-                if hit is None:
-                    continue
-                sign, key = hit
-                out[key] = out.get(key, Fraction(0)) + sign * c1 * c2
-        return SurfaceClass(self.ring, out)
+        return self._make({K_ONE: value})
 
     def pair(self, z: "HomologyClass") -> Fraction:
         """Kronecker pairing against the mirror-keyed homology basis."""
@@ -350,13 +346,9 @@ class ParamElement(SparseTerms):
         """Multiply each monomial of odd degree by (-1)^parity."""
         if parity % 2 == 0:
             return self
-        return ParamElement(
-            self.algebra,
-            {
-                e: (-c if self.algebra.monomial_degree(e) % 2 else c)
-                for e, c in self.terms.items()
-            },
-        )
+        degree = self.algebra.monomial_degree
+        terms = self.terms.items()
+        return self._make({e: -c if degree(e) % 2 else c for e, c in terms})
 
     def _entry(
         self, exps: Sequence[int], coef: Any
@@ -381,24 +373,17 @@ class ParamElement(SparseTerms):
                 factors.append(f"{name}^{e}")
         return "*".join(factors)
 
-    def _space(self) -> ParameterAlgebra:
-        return self.algebra
+    def _times(
+        self, e1: Exponents, c1: Fraction, e2: Exponents, c2: Fraction
+    ) -> tuple[Exponents, Fraction]:
+        sign = self.algebra.koszul_sign(e1, e2)
+        return tuple(map(add, e1, e2)), sign * c1 * c2
 
-    def _make(self, terms: dict[Exponents, Fraction]) -> "ParamElement":
-        return ParamElement(self.algebra, terms)
+    def _space(self) -> tuple[ParameterAlgebra]:
+        return (self.algebra,)
 
     def _scalar(self, value: Any) -> "ParamElement":
-        n = len(self.algebra.generators)
-        return ParamElement(self.algebra, {(0,) * n: value})
-
-    def _mul(self, other: "ParamElement") -> "ParamElement":
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                sign = self.algebra.koszul_sign(e1, e2)
-                out[key] = out.get(key, Fraction(0)) + sign * c1 * c2
-        return ParamElement(self.algebra, out)
+        return self._make({(0,) * len(self.algebra.generators): value})
 
 
 # -- Kunneth classes -------------------------------------------------------------
@@ -434,11 +419,8 @@ class KunnethClass(SparseTerms):
 
     @classmethod
     def tensor(cls, elt: ParamElement, surface: SurfaceClass) -> "KunnethClass":
-        return cls(
-            elt.algebra,
-            surface.ring,
-            {key: elt * coef for key, coef in surface.terms.items()},
-        )
+        parts = {key: elt * coef for key, coef in surface.terms.items()}
+        return cls(elt.algebra, surface.ring, parts)
 
     @classmethod
     def from_param(cls, elt: ParamElement, ring: SurfaceRing) -> "KunnethClass":
@@ -478,30 +460,22 @@ class KunnethClass(SparseTerms):
     def _term_text(self, key: BasisKey, elt: ParamElement) -> str:
         return f"({elt.to_text()}) ⊗ {self.ring.name(key)}"
 
+    def _times(
+        self, k1: BasisKey, p1: ParamElement, k2: BasisKey, p2: ParamElement
+    ) -> Optional[tuple[BasisKey, ParamElement]]:
+        hit = self.ring.basis_mul(k1, k2)
+        if hit is None:
+            return None
+        sign, key = hit
+        # Koszul: the surface leg of the first factor moves past
+        # the parameter leg of the second
+        return key, (p1 * p2.sign_twist(k1[0])) * sign
+
     def _space(self) -> tuple[ParameterAlgebra, SurfaceRing]:
         return (self.algebra, self.ring)
 
-    def _make(self, terms: dict[BasisKey, ParamElement]) -> "KunnethClass":
-        return KunnethClass(self.algebra, self.ring, terms)
-
     def _scalar(self, value: Any) -> "KunnethClass":
-        unit = self.algebra.one()
-        return KunnethClass(self.algebra, self.ring, {K_ONE: unit * value})
-
-    def _mul(self, other: "KunnethClass") -> "KunnethClass":
-        out: dict[BasisKey, ParamElement] = {}
-        for k1, p1 in self.terms.items():
-            d1 = k1[0]
-            for k2, p2 in other.terms.items():
-                hit = self.ring.basis_mul(k1, k2)
-                if hit is None:
-                    continue
-                sign, key = hit
-                # Koszul: the surface leg of the first factor moves past
-                # the parameter leg of the second
-                prod = (p1 * p2.sign_twist(d1)) * sign
-                out[key] = out[key] + prod if key in out else prod
-        return KunnethClass(self.algebra, self.ring, out)
+        return self._make({K_ONE: self.algebra.one() * value})
 
 
 def slant(a: KunnethClass, z: HomologyClass) -> ParamElement:

@@ -214,12 +214,16 @@ class ConditionReport:
         return next((w for w in self.witnesses if w.condition == condition), None)
 
 
-def _first_tail_witness(
-    params: ModuliParams, modulus: int, condition: str
+def _witness(
+    params: ModuliParams, condition: str, flag: Optional[tuple[str, int]] = None
 ) -> Optional[ConditionWitness]:
+    """The witness of one condition, or None; `flag` (label, j) limits C2/C3 to it."""
+    if condition == "C1":
+        return ConditionWitness("C1") if math.gcd(params.n, params.d) == 1 else None
+    modulus = params.n if condition == "C2" else params.n + params.d
     # scan order fixes the witness: points as listed, then flag index ascending
-    for p in params.datum.points:
-        for j in range(1, len(p.multiplicities) + 1):
+    for p in params.datum.points if flag is None else (params.point(flag[0]),):
+        for j in range(1, len(p.multiplicities) + 1) if flag is None else (flag[1],):
             m = p.tail_rank(j)
             if math.gcd(m, modulus) == 1:
                 return ConditionWitness(condition, p.label, j, m)
@@ -233,14 +237,8 @@ def check_conditions(params: ModuliParams) -> ConditionReport:
     C3: some flag subbundle rank m with gcd(m, n + d) = 1.
     """
     params.validate()
-    found = []
-    if math.gcd(params.n, params.d) == 1:
-        found.append(ConditionWitness("C1"))
-    for modulus, condition in ((params.n, "C2"), (params.n + params.d, "C3")):
-        w = _first_tail_witness(params, modulus, condition)
-        if w is not None:
-            found.append(w)
-    return ConditionReport(tuple(found))
+    found = (_witness(params, condition) for condition in CONDITIONS)
+    return ConditionReport(tuple(w for w in found if w is not None))
 
 
 def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -291,21 +289,20 @@ def construct_xi(
     """
     if condition not in CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}")
-    report = check_conditions(params)
-    chosen = report.witness_for(condition)
+    params.validate()
+    chosen = _witness(params, condition)
     if chosen is None:
         raise ValueError(f"condition {condition} is not satisfied by these parameters")
-    if witness is not None and condition == "C1":
-        raise ValueError("a witness applies only to conditions C2 and C3, not C1")
     if witness is not None:
-        label, j = witness
-        m = params.point(label).tail_rank(j)
-        modulus = params.n if condition == "C2" else params.n + params.d
-        if math.gcd(m, modulus) != 1:
+        if condition == "C1":
+            raise ValueError("a witness applies only to conditions C2 and C3, not C1")
+        chosen = _witness(params, condition, witness)
+        if chosen is None:
+            label, j = witness
+            m = params.point(label).tail_rank(j)
             raise ValueError(
                 f"({label!r}, {j}) with tail rank {m} is not a witness for {condition}"
             )
-        chosen = ConditionWitness(condition, label, j, m)
 
     n, d, g = params.n, params.d, params.g
     if condition == "C1":
@@ -329,7 +326,7 @@ def construct_xi(
                 (det_point(chosen.point), b * (g - 1)),
             )
         )
-    w = weight_of(word, params)
+    w = sum(f.unit_weight(params) * e for f, e in word.factors)
     if w != 1:
         raise RuntimeError(f"constructed word has weight {w}, expected 1")
     return word

@@ -83,6 +83,11 @@ class TestAClass:
         assert code == 1
         assert "c5" in err
 
+    def test_mixed_weight_value_names_its_class(self, capsys):
+        code, out, err = run(capsys, "aclass", "3", "--set", "c2=1*c1^2 + 1/2*c3")
+        assert (code, out) == (1, "")
+        assert err == "error: value for c2 is not homogeneous: term weights [2, 3]\n"
+
 
 class TestInvarianceCheck:
     def test_invariant_polynomial(self, capsys):

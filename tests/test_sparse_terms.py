@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 
@@ -237,3 +238,72 @@ class TestCanonicalForm:
         zero = build(pairs)
         assert zero.terms == {} and zero.is_zero() and not zero
         assert zero.to_text() == "0"
+
+
+# -- the product ---------------------------------------------------------------
+
+
+def _product_cases():
+    """Per type: a seeded random element with several low-degree terms."""
+    ring = make_ring(Variable("x"), Variable("y", 2), Variable("z", 3))
+    algebra = ParameterAlgebra(GENS, 8)
+    surface = SurfaceRing(2)
+
+    def pairs(rng, keys):
+        return [(rng.choice(keys), _fraction(rng)) for _ in range(6)]
+
+    return {
+        "RationalPoly": lambda rng: RationalPoly(
+            ring, pairs(rng, list(itertools.product(range(3), repeat=3)))
+        ),
+        "SurfaceClass": lambda rng: SurfaceClass(surface, pairs(rng, surface.basis)),
+        "ParamElement": lambda rng: mixed_param_element(rng, algebra),
+        "KunnethClass": lambda rng: mixed_kunneth(rng, algebra, surface),
+    }
+
+
+class TestProduct:
+    @pytest.mark.parametrize(
+        "cls", [RationalPoly, SurfaceClass, ParamElement, KunnethClass]
+    )
+    def test_product_loop_and_make_live_only_in_the_kernel(self, cls):
+        assert "_mul" not in vars(cls) and "_make" not in vars(cls)
+        assert "_times" in vars(cls)
+        assert "_mul" in vars(SparseTerms) and "_make" in vars(SparseTerms)
+
+    @pytest.mark.parametrize("kind", list(_product_cases()))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_product_sums_the_products_of_term_pairs(self, kind, seed):
+        rng = random.Random(300 + seed)
+        a, b = (_product_cases()[kind](rng) for _ in range(2))
+        pieces = [
+            a._make({k1: c1}) * b._make({k2: c2})
+            for k1, c1 in a.terms.items()
+            for k2, c2 in b.terms.items()
+        ]
+        landed = Counter(key for piece in pieces for key in piece.terms)
+        assert max(landed.values()) >= 2, "no two term pairs share a key"
+        assert a * b == sum(pieces, a * 0)
+
+    def test_cancelling_pairs_drop_their_key(self):
+        # polynomials form a domain: a product of nonzero ones cancels only in part
+        x, y = Variable("x"), Variable("y")
+        ring = make_ring(x, y)
+        s, t = RationalPoly.gen(ring, x), RationalPoly.gen(ring, y)
+        assert ((s + t) * (s - t)).terms == {(2, 0): 1, (0, 2): -1}
+
+    def test_products_cancelling_to_zero(self):
+        algebra = ParameterAlgebra(GENS, 4)
+        surface = SurfaceRing(1)
+        # alpha1*beta1 = omega = -beta1*alpha1, and v1*v2 = -v2*v1
+        odd_surface = SurfaceClass.alpha(surface, 1) + SurfaceClass.beta(surface, 1)
+        odd_param = algebra.gen("v1") + algebra.gen("v2")
+        for element in (
+            odd_surface,
+            odd_param,
+            KunnethClass.from_surface(algebra, odd_surface),
+            KunnethClass.from_param(odd_param, surface),
+        ):
+            square = element * element
+            assert square.terms == {} and square.is_zero()
+            assert square == element * 0

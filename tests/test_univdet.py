@@ -271,6 +271,29 @@ class TestConstructXi:
         with pytest.raises(ValueError, match="not a witness for C3"):
             construct_xi(ps, "C3", witness=("x", 2))
 
+    def test_witness_at_unknown_point_or_flag_rejected(self):
+        ps = params(3, 1, g=0, points=[point(ms=(1, 2), ws=("0", "1/3"))])
+        with pytest.raises(ValueError, match="no marked point labelled 'y'"):
+            construct_xi(ps, "C3", witness=("y", 1))
+        with pytest.raises(ValueError, match="flag index 3 out of range"):
+            construct_xi(ps, "C3", witness=("x", 3))
+
+    def test_unsatisfied_condition_wins_over_a_witness(self):
+        ps = params(4, 2, points=[point(ms=(2, 2), ws=("0", "1/2"))])
+        with pytest.raises(ValueError, match="C2 is not satisfied"):
+            construct_xi(ps, "C2", witness=("x", 1))
+
+    @pytest.mark.parametrize("condition", ["C1", "C2", "C3"])
+    def test_parameters_are_validated_once(self, condition, monkeypatch):
+        calls = []
+        check = ModuliParams.validate
+        monkeypatch.setattr(
+            ModuliParams, "validate", lambda self: calls.append(1) or check(self)
+        )
+        ps = params(3, 1, g=2, points=[point(ms=(1, 2), ws=("0", "1/3"))])
+        construct_xi(ps, condition)
+        assert len(calls) == 1
+
     def test_seeded_constructions_have_weight_one(self):
         rng = random.Random(77)
         built = 0
