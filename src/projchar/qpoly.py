@@ -1,20 +1,23 @@
 """Exact rational arithmetic on graded multivariate polynomials.
 
-Coefficients are `fractions.Fraction` throughout, so every operation is
-exact.  A polynomial is a sparse map from exponent vectors to nonzero
-coefficients over an explicit, ordered tuple of `Variable`s (its ring).
-Terms are kept sorted by descending (weight, exponents), which makes the
-representation canonical: two polynomials are equal iff their rings and
-term maps coincide verbatim.
+Coefficients are exact rationals, an `int` when integral and a
+`fractions.Fraction` otherwise, so every operation is exact.  A polynomial
+is a sparse map from exponent vectors to nonzero coefficients over an
+explicit, ordered tuple of `Variable`s (its ring).  Terms are kept sorted
+by descending (weight, exponents), which makes the representation
+canonical: two polynomials are equal iff their rings and term maps
+coincide verbatim.
 
 `SparseTerms` is the kernel shared by every sparse "key -> coefficient"
 type of the package: `RationalPoly` here and `SurfaceClass`, `ParamElement`
 and `KunnethClass` in `surfalg`.  It owns the canonical form (check each
-pair, sum equal keys, drop zeros, sort), the text grammar ("0" or terms
-joined by " + "), the product loop, scalar coercion, +, -, negation,
-scalar *, ** by square-and-multiply, == and repr.  Each type supplies its
-key and coefficient check, its order key, the text of one term, the
-product of two terms (here the exponent sum) and two one-line hooks.
+pair, sum equal keys, drop zeros, sort), the construction of results
+without that check, the text grammar ("0" or terms joined by " + "), the
+product loop, scalar coercion, +, -, negation, scalar *, ** by
+square-and-multiply, == and repr.  Each type supplies its key and
+coefficient check, its order key, the text of one term, the product of
+two terms (here the exponent sum), two one-line hooks and the names of the
+slots a result shares with its operand.
 `substitute` is `evaluate` into the target ring.
 
 The module also carries `elementary_symmetric_all`, every e_k of a list
@@ -100,28 +103,45 @@ class SparseTerms:
     A subclass constructor stores its ring or algebra and sets `terms =
     self._canonical(terms)`: from a Mapping or a sequence of (key,
     coefficient) pairs the kernel checks each pair, sums equal keys, drops
+    zeros and sorts.  Every +, -, * and ** result is built by `_make`
+    instead, which takes the space from its operand and trusts the keys the
+    kernel made itself: it sums nothing and checks nothing, it only drops
     zeros and sorts.  The subclass supplies these hooks:
 
     - `_entry(key, coef)`: the checked (key, coefficient) pair, or None
       for a term that is identically zero in the space; raises on a bad
-      key or coefficient;
+      key or coefficient.  Only input from outside the kernel meets it;
     - `_order`: the sort key of a term key (None: the key itself), with
       `_descending` choosing the direction;
     - `_term_text(key, coef)`: the text of one term, for `to_text`;
     - `_times(k1, c1, k2, c2)`: the product of two terms as a (key, coef)
-      pair, or None when it is zero; `_mul` sums these over all pairs;
+      pair, or None when it is zero in the space (`_entry` never sees the
+      key, so `_times` applies any truncation itself); `_mul` sums these
+      over all pairs;
     - `_space()`: the constructor's arguments before the terms, as a tuple;
       operands from different spaces raise `ValueError` with `_mismatch`;
-    - `_scalar(value)`: an int or Fraction embedded as a constant.
+      `_shared` names the slots a result copies from its operand;
+    - `_scalar(value)`: an int or Fraction embedded as a constant, its
+      coefficient passed through `_exact`.
 
-    Coefficients need +, unary -, * by a Fraction and truth meaning
+    Coefficients need +, unary -, * by an int or Fraction and truth meaning
     "nonzero"; an element is false exactly when it is zero, so elements can
-    be coefficients.  Instances are immutable by convention.
+    be coefficients.  Numeric coefficients are exact: an int when integral,
+    a Fraction otherwise.  Instances are immutable by convention.
     """
 
     __slots__ = ()
     _order: Any = None
     _descending = False
+    _shared: tuple[str, ...] = ()
+
+    @staticmethod
+    def _exact(value: Any) -> int | Fraction:
+        """A rational value as an int when integral, else as a Fraction."""
+        if type(value) is int:
+            return value
+        value = Fraction(value)
+        return value.numerator if value.denominator == 1 else value
 
     def _canonical(self, terms: Any) -> dict:
         """The canonical term map of a Mapping or a sequence of pairs."""
@@ -133,6 +153,10 @@ class SparseTerms:
             if checked is not None:
                 key, coef = checked
                 acc[key] = acc[key] + coef if key in acc else coef
+        return self._sorted(acc)
+
+    def _sorted(self, acc: dict) -> dict:
+        """`acc` without its zero coefficients, in term order."""
         keys = sorted(
             (k for k, c in acc.items() if c), key=self._order, reverse=self._descending
         )
@@ -148,9 +172,13 @@ class SparseTerms:
             raise ValueError(f"negative exponent in {exps}")
         return exps
 
-    def _make(self, terms: Any) -> Any:
-        """An element of the same space, from a term map or pairs."""
-        return type(self)(*self._space(), terms)
+    def _make(self, acc: dict) -> Any:
+        """An element of the same space, from a dict whose keys the kernel made."""
+        new = object.__new__(type(self))
+        for name in self._shared:
+            setattr(new, name, getattr(self, name))
+        new.terms = self._sorted(acc)
+        return new
 
     def _mul(self, other: Any) -> Any:
         """The product with an element of the same space, term by term."""
@@ -199,7 +227,10 @@ class SparseTerms:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self._make([*self.terms.items(), *rhs.terms.items()])
+        acc = dict(self.terms)
+        for key, coef in rhs.terms.items():
+            acc[key] = acc[key] + coef if key in acc else coef
+        return self._make(acc)
 
     __radd__ = __add__
 
@@ -217,7 +248,7 @@ class SparseTerms:
 
     def __mul__(self, other: Any) -> Any:
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
+            q = self._exact(other)
             return self._make({k: c * q for k, c in self.terms.items()})
         rhs = self._coerce(other)
         if rhs is None:
@@ -257,7 +288,7 @@ class SparseTerms:
 
 
 class RationalPoly(SparseTerms):
-    """Sparse polynomial with Fraction coefficients over an ordered ring.
+    """Sparse polynomial with exact rational coefficients over an ordered ring.
 
     Instances are immutable by convention: no method mutates `self`, every
     operation returns a polynomial in canonical form.
@@ -266,6 +297,7 @@ class RationalPoly(SparseTerms):
     __slots__ = ("ring", "terms", "_weights")
     _mismatch = "ring mismatch"
     _descending = True
+    _shared = ("ring", "_weights")
 
     def __init__(self, ring: Iterable[Variable], terms: Any = ()) -> None:
         self.ring = make_ring(*ring)
@@ -281,7 +313,7 @@ class RationalPoly(SparseTerms):
     @classmethod
     def const(cls, ring: Iterable[Variable], value: Any) -> "RationalPoly":
         ring = tuple(ring)
-        return cls(ring, {(0,) * len(ring): Fraction(value)})
+        return cls(ring, {(0,) * len(ring): value})
 
     @classmethod
     def gen(cls, ring: Iterable[Variable], variable: Variable) -> "RationalPoly":
@@ -292,12 +324,12 @@ class RationalPoly(SparseTerms):
             raise ValueError(f"{variable.name!r} is not a ring variable") from None
         exps = [0] * len(ring)
         exps[pos] = 1
-        return cls(ring, {tuple(exps): Fraction(1)})
+        return cls(ring, {tuple(exps): 1})
 
     # -- basic structure -------------------------------------------------
 
-    def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps: Sequence[int]) -> int | Fraction:
+        return self.terms.get(tuple(exps), 0)
 
     def term_weight(self, exps: Exponents) -> int:
         return sum(w * e for w, e in zip(self._weights, exps))
@@ -315,10 +347,10 @@ class RationalPoly(SparseTerms):
         return True
 
     def homogeneous_components(self) -> dict[int, "RationalPoly"]:
-        buckets: dict[int, dict[Exponents, Fraction]] = {}
+        buckets: dict[int, dict[Exponents, int | Fraction]] = {}
         for exps, coef in self.terms.items():
             buckets.setdefault(self.term_weight(exps), {})[exps] = coef
-        return {w: RationalPoly(self.ring, t) for w, t in sorted(buckets.items())}
+        return {w: self._make(t) for w, t in sorted(buckets.items())}
 
     def cohomological_degree(self) -> int | None:
         """Degree 2*weight of an even-graded class; None when zero."""
@@ -327,9 +359,11 @@ class RationalPoly(SparseTerms):
 
     # -- kernel hooks (SparseTerms) -----------------------------------------
 
-    def _entry(self, exps: Sequence[int], coef: Any) -> tuple[Exponents, Fraction]:
+    def _entry(
+        self, exps: Sequence[int], coef: Any
+    ) -> tuple[Exponents, int | Fraction]:
         size = len(self.ring)
-        return self._exponents(exps, size, "a ring of {} variables"), Fraction(coef)
+        return self._exponents(exps, size, "a ring of {} variables"), self._exact(coef)
 
     def _order(self, exps: Exponents) -> tuple[int, Exponents]:
         return self.term_weight(exps), exps
@@ -346,7 +380,7 @@ class RationalPoly(SparseTerms):
         return (self.ring,)
 
     def _scalar(self, value: Any) -> "RationalPoly":
-        return RationalPoly.const(self.ring, value)
+        return self._make({(0,) * len(self.ring): self._exact(value)})
 
     def __truediv__(self, other: Any) -> "RationalPoly":
         if isinstance(other, (int, Fraction)):

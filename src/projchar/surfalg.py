@@ -15,7 +15,9 @@ form (sum equal keys, drop zeros, sort), `to_text`, the product loop, +,
 supplies only its key and coefficient check (for `ParamElement` also the
 truncation), its order key, the text of one term and the product of two
 terms: the `basis_mul` table for surface classes, exponent sums with the
-Koszul sign for parameter monomials, and both for Kunneth classes.
+Koszul sign and the same truncation for parameter monomials, and both for
+Kunneth classes, whose right-hand coefficients are sign-twisted at most
+once each.
 
 The payoff is `canonicality_check`: twisting a rank-n Chern list by a
 degree-2 parameter class must leave both the degree-1 slants of c_1 and all
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add
+from operator import add, mul
 from random import Random
 from typing import Any, Optional, Sequence
 
@@ -130,6 +132,7 @@ class SurfaceClass(SparseTerms):
 
     __slots__ = ("ring", "terms")
     _mismatch = "surface ring mismatch"
+    _shared = ("ring",)
 
     def __init__(self, ring: SurfaceRing, terms: Any = ()) -> None:
         self.ring = ring
@@ -158,16 +161,18 @@ class SurfaceClass(SparseTerms):
     def degree(self) -> int | None:
         return self._single_degree(k[0] for k in self.terms)
 
-    def _entry(self, key: Sequence[int], coef: Any) -> tuple[BasisKey, Fraction]:
-        return self.ring.check_key(tuple(key)), Fraction(coef)
+    def _entry(
+        self, key: Sequence[int], coef: Any
+    ) -> tuple[BasisKey, int | Fraction]:
+        return self.ring.check_key(tuple(key)), self._exact(coef)
 
-    def _term_text(self, key: BasisKey, coef: Fraction) -> str:
+    def _term_text(self, key: BasisKey, coef: int | Fraction) -> str:
         head = format_fraction(coef)
         return head if key == K_ONE else f"{head}*{self.ring.name(key)}"
 
     def _times(
-        self, k1: BasisKey, c1: Fraction, k2: BasisKey, c2: Fraction
-    ) -> Optional[tuple[BasisKey, Fraction]]:
+        self, k1: BasisKey, c1: int | Fraction, k2: BasisKey, c2: int | Fraction
+    ) -> Optional[tuple[BasisKey, int | Fraction]]:
         hit = self.ring.basis_mul(k1, k2)
         if hit is None:
             return None
@@ -178,13 +183,13 @@ class SurfaceClass(SparseTerms):
         return (self.ring,)
 
     def _scalar(self, value: Any) -> "SurfaceClass":
-        return self._make({K_ONE: value})
+        return self._make({K_ONE: self._exact(value)})
 
-    def pair(self, z: "HomologyClass") -> Fraction:
+    def pair(self, z: "HomologyClass") -> int | Fraction:
         """Kronecker pairing against the mirror-keyed homology basis."""
         if z.ring != self.ring:
             raise ValueError("surface ring mismatch")
-        return self.terms.get(z.key, Fraction(0))
+        return self.terms.get(z.key, 0)
 
 
 @dataclass(frozen=True)
@@ -276,7 +281,13 @@ class ParameterAlgebra:
         return {}
 
     def monomial_degree(self, exps: Exponents) -> int:
-        return sum(d * e for d, e in zip(self.degrees, exps))
+        return sum(map(mul, self.degrees, exps))
+
+    def _vanishes(self, exps: Exponents) -> bool:
+        """True for a monomial that is zero: an odd generator squared, or too high."""
+        if any(e > 1 for e, odd in zip(exps, self.odd_flags) if odd):
+            return True
+        return self.monomial_degree(exps) > self.max_degree
 
     def koszul_sign(self, e1: Exponents, e2: Exponents) -> int:
         """Sign for merging two index-sorted words: one -1 per odd-odd inversion."""
@@ -326,14 +337,16 @@ class ParameterAlgebra:
 
 
 class ParamElement(SparseTerms):
-    """Element of a ParameterAlgebra: sparse map monomial -> Fraction.
+    """Element of a ParameterAlgebra: sparse map monomial -> exact rational.
 
     Monomials with an odd generator squared, or with degree above the
-    algebra's bound, are identically zero and dropped on construction.
+    algebra's bound, are identically zero: the constructor drops them, and
+    `_times` returns None for a product of two terms that lands on one.
     """
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra", "terms", "_odd_twist")
     _mismatch = "parameter algebra mismatch"
+    _shared = ("algebra",)
 
     def __init__(self, algebra: ParameterAlgebra, terms: Any = ()) -> None:
         self.algebra = algebra
@@ -350,21 +363,27 @@ class ParamElement(SparseTerms):
         terms = self.terms.items()
         return self._make({e: -c if degree(e) % 2 else c for e, c in terms})
 
+    def _odd_twisted(self) -> "ParamElement":
+        """`sign_twist(1)`, built once per element and kept."""
+        try:
+            return self._odd_twist
+        except AttributeError:
+            self._odd_twist = self.sign_twist(1)
+            return self._odd_twist
+
     def _entry(
         self, exps: Sequence[int], coef: Any
-    ) -> Optional[tuple[Exponents, Fraction]]:
+    ) -> Optional[tuple[Exponents, int | Fraction]]:
         algebra = self.algebra
         exps = self._exponents(exps, len(algebra.generators), "{} generators")
-        if any(e > 1 for e, odd in zip(exps, algebra.odd_flags) if odd):
+        if algebra._vanishes(exps):
             return None
-        if algebra.monomial_degree(exps) > algebra.max_degree:
-            return None
-        return exps, Fraction(coef)
+        return exps, self._exact(coef)
 
     def _order(self, exps: Exponents) -> tuple[int, Exponents]:
         return self.algebra.monomial_degree(exps), exps
 
-    def _term_text(self, exps: Exponents, coef: Fraction) -> str:
+    def _term_text(self, exps: Exponents, coef: int | Fraction) -> str:
         factors = [format_fraction(coef)]
         for (name, _), e in zip(self.algebra.generators, exps):
             if e == 1:
@@ -374,16 +393,19 @@ class ParamElement(SparseTerms):
         return "*".join(factors)
 
     def _times(
-        self, e1: Exponents, c1: Fraction, e2: Exponents, c2: Fraction
-    ) -> tuple[Exponents, Fraction]:
-        sign = self.algebra.koszul_sign(e1, e2)
-        return tuple(map(add, e1, e2)), sign * c1 * c2
+        self, e1: Exponents, c1: int | Fraction, e2: Exponents, c2: int | Fraction
+    ) -> Optional[tuple[Exponents, int | Fraction]]:
+        algebra = self.algebra
+        exps = tuple(map(add, e1, e2))
+        if algebra._vanishes(exps):
+            return None
+        return exps, algebra.koszul_sign(e1, e2) * c1 * c2
 
     def _space(self) -> tuple[ParameterAlgebra]:
         return (self.algebra,)
 
     def _scalar(self, value: Any) -> "ParamElement":
-        return self._make({(0,) * len(self.algebra.generators): value})
+        return self._make({(0,) * len(self.algebra.generators): self._exact(value)})
 
 
 # -- Kunneth classes -------------------------------------------------------------
@@ -398,6 +420,7 @@ class KunnethClass(SparseTerms):
 
     __slots__ = ("algebra", "ring", "terms")
     _mismatch = "Kunneth algebra or ring mismatch"
+    _shared = ("algebra", "ring")
 
     def __init__(
         self,
@@ -467,9 +490,10 @@ class KunnethClass(SparseTerms):
         if hit is None:
             return None
         sign, key = hit
-        # Koszul: the surface leg of the first factor moves past
-        # the parameter leg of the second
-        return key, (p1 * p2.sign_twist(k1[0])) * sign
+        # Koszul: the surface leg of the first factor moves past the
+        # parameter leg of the second; only a degree-1 leg changes signs
+        product = p1 * (p2._odd_twisted() if k1[0] == 1 else p2)
+        return key, product if sign == 1 else -product
 
     def _space(self) -> tuple[ParameterAlgebra, SurfaceRing]:
         return (self.algebra, self.ring)

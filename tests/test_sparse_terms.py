@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
+from operator import add
 
 import pytest
 
@@ -307,3 +308,145 @@ class TestProduct:
             square = element * element
             assert square.terms == {} and square.is_zero()
             assert square == element * 0
+
+
+# -- the trusted path ------------------------------------------------------------
+
+
+def _raw_product_pairs(a, b):
+    """Every term pair's product as a (key, coefficient) pair.
+
+    Parameter monomials are summed with the Koszul sign and no truncation,
+    so the public constructor, not `_times`, decides which ones vanish.
+    """
+    if isinstance(a, ParamElement):
+        sign = a.algebra.koszul_sign
+        return [
+            (tuple(map(add, e1, e2)), sign(e1, e2) * c1 * c2)
+            for e1, c1 in a.terms.items()
+            for e2, c2 in b.terms.items()
+        ]
+    hits = (
+        a._times(k1, c1, k2, c2)
+        for k1, c1 in a.terms.items()
+        for k2, c2 in b.terms.items()
+    )
+    return [hit for hit in hits if hit is not None]
+
+
+def _public(element, pairs):
+    """The validating constructor of element's space applied to pairs."""
+    return type(element)(*element._space(), pairs)
+
+
+def _assert_same_terms(result, reference):
+    assert list(result.terms.items()) == list(reference.terms.items())
+    assert result.to_text() == reference.to_text()
+
+
+class TestTrustedPath:
+    @pytest.mark.parametrize("kind", list(_product_cases()))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_results_match_the_public_constructor(self, kind, seed):
+        rng = random.Random(400 + seed)
+        a, b = (_product_cases()[kind](rng) for _ in range(2))
+        q = _fraction(rng) or Fraction(5, 3)
+        a_pairs, b_pairs = list(a.terms.items()), list(b.terms.items())
+        negated = [(k, -c) for k, c in b_pairs]
+        _assert_same_terms(a + b, _public(a, a_pairs + b_pairs))
+        _assert_same_terms(a - b, _public(a, a_pairs + negated))
+        _assert_same_terms(-b, _public(b, negated))
+        _assert_same_terms(a * q, _public(a, [(k, c * q) for k, c in a_pairs]))
+        _assert_same_terms(a * b, _public(a, _raw_product_pairs(a, b)))
+        square = _public(a, _raw_product_pairs(a, a))
+        _assert_same_terms(a**2, square)
+        _assert_same_terms(a**3, _public(a, _raw_product_pairs(square, a)))
+        for result in (a + b, a * b, a**3):
+            assert type(result) is type(a) and result._space() == a._space()
+
+    def test_odd_square_and_truncation_in_products(self):
+        algebra = ParameterAlgebra(GENS, 4)
+        v1, u1, u2 = (algebra.gen(n) for n in ("v1", "u1", "u2"))
+        assert (v1 * v1).terms == {} and v1 * v1 == algebra.zero()
+        assert (u1 * (u2 * v1)).is_zero()  # degree 5 > 4
+        at_bound = u1 * u2  # degree 4 == 4
+        assert at_bound.terms == {(0, 0, 1, 1): 1}
+        # u1*u2*v1 passes the bound and v1*u2*v1, v1*v1 square v1
+        mixed = (u1 + v1) * (u2 + u2 * v1 + v1)
+        kept = [((0, 0, 1, 1), 1), ((1, 0, 1, 0), 1), ((1, 0, 0, 1), 1)]
+        _assert_same_terms(mixed, _public(mixed, kept))
+        assert mixed.to_text() == "1*v1*u2 + 1*v1*u1 + 1*u1*u2"
+
+    def test_integral_coefficients_are_ints(self):
+        x, y = Variable("x"), Variable("y")
+        ring = make_ring(x, y)
+        algebra = ParameterAlgebra(GENS, 6)
+        surface = SurfaceRing(1)
+        elements = [
+            RationalPoly(ring, {(1, 0): Fraction(4, 2), (0, 1): -3, (0, 0): 1}),
+            SurfaceClass(
+                surface, [((0, 0, 0), 3), ((1, 0, 1), Fraction(6, 3)), ((1, 1, 1), 5)]
+            ),
+            ParamElement(algebra, {(1, 0, 0, 0): Fraction(-2), (0, 0, 1, 0): 7}),
+        ]
+        for p in elements:
+            results = (p, p + p, p * p, p**3 - p, p * Fraction(3), 2 * p, p * 0 + 1)
+            for result in results:
+                assert result.terms, result
+                assert all(type(c) is int for c in result.terms.values()), result
+        kunneth = KunnethClass.from_surface(algebra, elements[1]) + 1
+        for part in (kunneth**2).terms.values():
+            assert all(type(c) is int for c in part.terms.values())
+        texts = [p.to_text() for p in elements]
+        assert texts == ["2*x + -3*y + 1", "3 + 2*alpha1 + 5*beta1", "-2*v1 + 7*u1"]
+        assert elements[0].coefficient((1, 1)) == 0
+
+    def test_true_fractions_stay_fractions(self):
+        x = Variable("x")
+        ring = make_ring(x)
+        p = RationalPoly(ring, {(1,): Fraction(2, 4), (0,): Fraction(3)})
+        assert p.terms == {(1,): Fraction(1, 2), (0,): 3}
+        assert [type(c) for c in p.terms.values()] == [Fraction, int]
+        assert p.to_text() == "1/2*x + 3"
+        assert (p * Fraction(1, 3)).to_text() == "1/6*x + 1"
+        assert type(p.coefficient((1,))) is Fraction
+        s = SurfaceClass.unit(SurfaceRing(1)) * Fraction(-3, 2)
+        assert s.terms == {(0, 0, 0): Fraction(-3, 2)} and s.to_text() == "-3/2"
+
+    def test_public_constructors_still_reject_bad_input(self):
+        ring = make_ring(Variable("x"), Variable("y"))
+        algebra = ParameterAlgebra(GENS, 4)
+        with pytest.raises(ValueError, match=r"^negative exponent in \(1, -1\)$"):
+            RationalPoly(ring, {(1, -1): 1})
+        with pytest.raises(ValueError, match="does not fit a ring of 2 variables"):
+            RationalPoly(ring, {(1,): 1})
+        with pytest.raises(ValueError, match="does not fit 4 generators"):
+            ParamElement(algebra, {(1, 0): 1})
+        with pytest.raises(ValueError, match="is not a basis key for genus 1"):
+            SurfaceClass(SurfaceRing(1), {(1, 0, 2): 1})
+        with pytest.raises(TypeError, match="part values must be ParamElement"):
+            KunnethClass(algebra, SurfaceRing(1), {(0, 0, 0): 1})
+
+
+class TestNoRevalidation:
+    """Arithmetic on built elements never goes back through `_entry`."""
+
+    @pytest.mark.parametrize("kind", list(_product_cases()))
+    def test_products_and_powers_skip_entry(self, kind, monkeypatch):
+        rng = random.Random(500)
+        a, b = (_product_cases()[kind](rng) for _ in range(2))
+        calls = Counter()
+        for cls in (RationalPoly, SurfaceClass, ParamElement, KunnethClass):
+            entry = cls._entry
+
+            def counted(self, key, coef, _entry=entry, _name=cls.__name__):
+                calls[_name] += 1
+                return _entry(self, key, coef)
+
+            monkeypatch.setattr(cls, "_entry", counted)
+        results = [a * b, b * a, a * a, a**3, b**4, a + b, a - b, -a, a * 3]
+        assert calls == Counter(), calls
+        assert all(type(r) is type(a) for r in results)
+        # the wrapper is live: the public constructor still counts
+        _public(a, list(a.terms.items()))
+        assert calls[type(a).__name__] == len(a.terms)

@@ -311,6 +311,40 @@ class TestKunnethClass:
             c = random_kunneth(rng, self.alg, self.ring, rng.randint(1, 3))
             assert (a * b) * c == a * (b * c)
 
+    def test_product_twists_each_right_hand_term_once(self, monkeypatch):
+        rng = random.Random(13)
+        keys = [K_ONE, k_alpha(1), k_beta(1), k_alpha(2), k_beta(2)]
+
+        def spread(degree):
+            parts = {
+                key: random_param_element(rng, self.alg, degree - key[0])
+                + self.alg.gen("v1")
+                for key in keys
+            }
+            return KunnethClass(self.alg, self.ring, parts)
+
+        a, b = spread(2), spread(3)
+        # the product written out pair by pair, before anything is counted
+        expected = KunnethClass.zero(self.alg, self.ring)
+        for k1, p1 in a.parts.items():
+            for k2, p2 in b.parts.items():
+                hit = self.ring.basis_mul(k1, k2)
+                if hit is not None:
+                    sign, key = hit
+                    part = p1 * p2.sign_twist(k1[0]) * sign
+                    expected = expected + KunnethClass(self.alg, self.ring, {key: part})
+        calls = []
+        original = ParamElement.sign_twist
+
+        def counted(self, parity):
+            calls.append(parity)
+            return original(self, parity)
+
+        monkeypatch.setattr(ParamElement, "sign_twist", counted)
+        assert a * b == expected
+        assert sum(1 for key in a.parts if key[0] == 1) == 4
+        assert 0 < len(calls) <= len(b.parts), calls
+
     def test_text(self):
         x = KunnethClass.tensor(self.alg.gen("u1"), SurfaceClass.alpha(self.ring, 1))
         assert x.to_text() == "(1*u1) ⊗ alpha1"
