@@ -19,7 +19,7 @@ from pathlib import Path
 from random import Random
 from typing import Any, Optional
 
-from . import projclass, selftest, surfalg, univdet
+from . import projclass, surfalg, univdet
 from .qpoly import RationalPoly, Variable, format_fraction, parse_poly
 
 _CVAR_RE = re.compile(r"c([1-9]\d*)")
@@ -340,6 +340,8 @@ def _cmd_universal_bundle(args: argparse.Namespace) -> CommandOutput:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> CommandOutput:
+    from . import selftest  # imported here: every other command would pay for it
+
     results = selftest.run()
     failed = sum(r.failed for r in results)
     lines = [

@@ -8,12 +8,12 @@ difference roots y_i = n*x_i - (x_1 + ... + x_n).
 
 One identity does the work: the twist x_i -> x_i + f sends c_k to
 sum_i C(n-i, k-i) * c_i * f^(k-i).  Twisting by f = -c_1/n moves the roots
-to y_i/n, so z_k is n^k times the twisted c_k.  A twist-invariant class p
-equals its value in that traceless frame, p(0, z_2/n^2, ..., z_n/n^n),
-which is therefore its rewrite in the z_k; p is invariant exactly when
-that normal form, expanded back through z_k(c), returns p.  Twisting back
-by +c_1/n gives the reduction identity a_k = P + lambda * c_k in closed
-form.
+to y_i/n, so z_k is n^k times the twisted c_k.  Each rank's `ChernRing`
+keeps two maps built once: z_k(c), from that one twist, and the traceless
+frame c_1 = 0, c_k = z_k/n^k.  A twist-invariant class p equals its value
+in that frame, which is therefore its rewrite in the z_k; p is invariant
+exactly when that normal form, expanded back through z_k(c), returns p.
+Twisting back by +c_1/n gives a_k = P + lambda * c_k in closed form.
 
 The classes of the endomorphism bundle End are twist-invariant too, so
 they are computed in the traceless frame with no root ring: Newton's
@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 # linear_solve and express_in_elementary have no caller here, but they stay
 # bound, like elementary_symmetric_all: perfbench/layers.py wraps each of the
@@ -75,7 +75,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChernRing:
-    """Symbol table for a fixed rank: roots x_i, classes c_i, generators z_k."""
+    """Symbol table for a fixed rank: roots x_i, classes c_i, generators z_k.
+
+    Built once per rank: z_k in the c_i, and the frame c_1 = 0, c_k = z_k/n^k.
+    """
 
     rank: int
 
@@ -106,6 +109,20 @@ class ChernRing:
     @cached_property
     def z_ring(self) -> tuple[Variable, ...]:
         return make_ring(*self.z_vars)
+
+    @cached_property
+    def _z_in_c(self) -> Mapping[Variable, RationalPoly]:
+        # the twist by -c1/n sends x_i to y_i/n, so e_k(y) = n^k * c'_k
+        c = [RationalPoly.gen(self.c_ring, v) for v in self.chern_vars]
+        one = RationalPoly.const(self.c_ring, 1)
+        twisted = twist(c, c[0] * Fraction(-1, self.rank), one)
+        return {z: self.rank**k * twisted[k - 1] for k, z in enumerate(self.z_vars, 2)}
+
+    @cached_property
+    def _traceless_frame(self) -> Mapping[Variable, RationalPoly]:
+        n, ring = self.rank, self.z_ring
+        z = [RationalPoly.gen(ring, v) / n**k for k, v in enumerate(self.z_vars, 2)]
+        return dict(zip(self.chern_vars, [RationalPoly.zero(ring), *z]))
 
 
 @lru_cache(maxsize=None)
@@ -191,20 +208,11 @@ def twist(values: Sequence[Any], f: Any, one: Any) -> list[Any]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _z_poly(n: int, k: int) -> RationalPoly:
-    # the twist by -c1/n sends x_i to y_i/n, so e_k(y) = n^k * c'_k
-    ring = chern_ring(n)
-    c = [RationalPoly.gen(ring.c_ring, v) for v in ring.chern_vars]
-    one = RationalPoly.const(ring.c_ring, 1)
-    return n**k * twist(c, c[0] * Fraction(-1, n), one)[k - 1]
-
-
 def z_basis(ring: ChernRing, k: int) -> ChernExpression:
     """The k-th canonical generator e_k(y), rewritten in c_1..c_n (weight k)."""
     if not 2 <= k <= ring.rank:
         raise ValueError(f"k must satisfy 2 <= k <= {ring.rank}, got {k}")
-    return ChernExpression(ring, _z_poly(ring.rank, k), k)
+    return ChernExpression(ring, ring._z_in_c[ring.z_vars[k - 2]], k)
 
 
 def rewrite_in_z(expr: ChernExpression) -> AClassExpression | None:
@@ -217,13 +225,8 @@ def rewrite_in_z(expr: ChernExpression) -> AClassExpression | None:
     form expanded back through z_k(c) gives the class again.
     """
     ring = expr.ring
-    n = ring.rank
-    bindings = {ring.chern_vars[0]: RationalPoly.zero(ring.z_ring)}
-    for k, z in enumerate(ring.z_vars, start=2):
-        bindings[ring.chern_vars[k - 1]] = RationalPoly.gen(ring.z_ring, z) / n**k
-    q = expr.poly.substitute(bindings, target_ring=ring.z_ring)
-    back = {z: _z_poly(n, k) for k, z in enumerate(ring.z_vars, start=2)}
-    if q.substitute(back, target_ring=ring.c_ring) != expr.poly:
+    q = expr.poly.substitute(ring._traceless_frame, target_ring=ring.z_ring)
+    if q.substitute(ring._z_in_c, target_ring=ring.c_ring) != expr.poly:
         return None
     return AClassExpression(ring, q)
 
@@ -281,13 +284,14 @@ def lambda_p(n: int, k: int) -> ReductionData:
         P = P - math.comb(n - i, k - i) * c1 ** (k - i) * RationalPoly.gen(p_ring, a)
     lam = Fraction(n) ** k
     bindings = {c1_var: RationalPoly.gen(ring.c_ring, c1_var)}
-    bindings.update({a: _z_poly(n, i) for i, a in enumerate(a_vars, start=2)})
+    bindings.update(zip(a_vars, ring._z_in_c.values()))
     ck = RationalPoly.gen(ring.c_ring, ring.chern_vars[k - 1])
     lhs = P.substitute(bindings, target_ring=ring.c_ring) + lam * ck
-    if lhs != _z_poly(n, k):
+    zk = ring._z_in_c[ring.z_vars[k - 2]]
+    if lhs != zk:
         raise RuntimeError(
             f"reduction identity for (n={n}, k={k}) failed verification;"
-            f" first differing term {first_difference(lhs, _z_poly(n, k))}"
+            f" first differing term {first_difference(lhs, zk)}"
         )
     return ReductionData(n, k, lam, P)
 
@@ -328,9 +332,7 @@ def a_classes(
             raise ValueError(f"value for c{i} has degree {deg}, expected {2 * i}")
     ring = chern_ring(rank)
     assignment = dict(zip(ring.chern_vars, values))
-    return [
-        _z_poly(rank, k).evaluate(assignment, zero=zero) for k in range(2, rank + 1)
-    ]
+    return [z.evaluate(assignment, zero=zero) for z in ring._z_in_c.values()]
 
 
 # -- endomorphism and Hom bundles -----------------------------------------------
@@ -345,8 +347,7 @@ def _traceless_power_sums(n: int) -> list[RationalPoly]:
     """
     ring = chern_ring(n)
     zero = RationalPoly.zero(ring.z_ring)
-    e = [RationalPoly.const(ring.z_ring, 1), zero]
-    e += [RationalPoly.gen(ring.z_ring, z) / n**k for k, z in enumerate(ring.z_vars, 2)]
+    e = [RationalPoly.const(ring.z_ring, 1), *ring._traceless_frame.values()]
     p = [RationalPoly.const(ring.z_ring, n)]
     for m in range(1, n * n + 1):
         acc = (-1) ** (m - 1) * m * e[m] if m <= n else zero
@@ -422,8 +423,7 @@ def _end_ring(n: int, j: int) -> ChernRing:
 @lru_cache(maxsize=None)
 def _end_c_poly(n: int, j: int) -> RationalPoly:
     ring = chern_ring(n)
-    back = {z: _z_poly(n, k) for k, z in enumerate(ring.z_vars, start=2)}
-    return _end_classes(n)[j].substitute(back, target_ring=ring.c_ring)
+    return _end_classes(n)[j].substitute(ring._z_in_c, target_ring=ring.c_ring)
 
 
 def end_chern(n: int, j: int) -> ChernExpression:

@@ -394,6 +394,8 @@ def parse_moduli_params(text: str) -> ModuliParams:
                 raise ValueError(f"unknown key {key!r}")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        except ZeroDivisionError:  # Fraction("1/0")
+            raise ValueError(f"line {lineno}: zero denominator in {value!r}") from None
     flush()
     if n is None or d is None or g is None:
         raise ValueError("document must set n, d and g")

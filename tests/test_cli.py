@@ -306,6 +306,24 @@ class TestExitCodes:
         assert code == 1
         assert "error: " in err
 
+    @pytest.mark.parametrize("command", ["catalog", "universal-bundle"])
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ("0 1/0", "line 6: zero denominator in '0 1/0'"),
+            ("0 nan", "line 6: Invalid literal for Fraction: 'nan'"),
+        ],
+    )
+    def test_unreadable_weight_is_domain_error(
+        self, capsys, tmp_path, command, weights, message
+    ):
+        doc = tmp_path / "params.txt"
+        doc.write_text(PARABOLIC_DOC.replace("0 1/2", weights))
+        code, out, err = run(capsys, command, str(doc))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_reruns_are_deterministic(self, capsys):
         _, first, _ = run(capsys, "zbasis", "4", "3")
         _, second, _ = run(capsys, "zbasis", "4", "3")

@@ -1,6 +1,8 @@
 """The package needs only the standard library and never checks by `assert`."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,3 +42,13 @@ def test_imports_are_stdlib_or_relative(path):
 def test_no_assert_statements(path):
     lines = [n.lineno for n in ast.walk(_tree(path)) if isinstance(n, ast.Assert)]
     assert lines == []
+
+
+def test_cli_import_leaves_selftest_unloaded():
+    probe = "import sys, projchar.cli; print('projchar.selftest' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"

@@ -193,6 +193,20 @@ class TestZBasis:
         with pytest.raises(ValueError):
             z_basis(ring, 4)
 
+    def test_one_twist_builds_every_generator(self, monkeypatch):
+        calls = []
+        original = projclass.twist
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return original(*args)
+
+        monkeypatch.setattr(projclass, "twist", counted)
+        fresh = projclass.ChernRing(6)
+        got = [z_basis(fresh, k).poly for k in range(2, 7)]
+        assert calls == [6]
+        assert got == [z_basis(chern_ring(6), k).poly for k in range(2, 7)]
+
     def test_weight_and_degree(self):
         expr = z_basis(chern_ring(4), 3)
         assert expr.weight == 3
@@ -330,15 +344,13 @@ class TestReduction:
             lambda_p(3, 4)
 
     def test_failed_identity_names_inputs_and_term(self, monkeypatch):
-        import projchar.projclass as pc
-
-        original = pc._z_poly
-
-        def perturbed(n, k):
-            ring = chern_ring(n)
-            return original(n, k) + RationalPoly.gen(ring.c_ring, ring.chern_vars[0]) ** k
-
-        monkeypatch.setattr(pc, "_z_poly", perturbed)
+        ring = chern_ring(4)
+        c1 = RationalPoly.gen(ring.c_ring, ring.chern_vars[0])
+        perturbed = {
+            z: poly + c1**k
+            for k, (z, poly) in enumerate(ring._z_in_c.items(), start=2)
+        }
+        monkeypatch.setitem(ring.__dict__, "_z_in_c", perturbed)
         lambda_p.cache_clear()
         try:
             with pytest.raises(RuntimeError) as info:

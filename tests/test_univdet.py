@@ -349,6 +349,11 @@ class TestParseDocument:
         with pytest.raises(ValueError, match="line 1"):
             parse_moduli_params("n = two\nd = 1\ng = 0\n")
 
+    def test_zero_denominator_weight(self):
+        doc = "n = 2\nd = 0\ng = 0\npoint = x\nmultiplicities = 1 1\nweights = 0 1/0\n"
+        with pytest.raises(ValueError, match="^line 6: zero denominator in '0 1/0'$"):
+            parse_moduli_params(doc)
+
     def test_validation_applies(self):
         doc = "n = 3\nd = 1\ng = 0\npoint = x\nmultiplicities = 1 1\nweights = 0 1/2\n"
         with pytest.raises(ValueError, match="sum to"):
