@@ -23,10 +23,10 @@ slots a result shares with its operand.
 The module also carries `elementary_symmetric_all`, every e_k of a list
 of ring elements in one pass, which the Hom classes of flags are built
 on.  Two more helpers have no caller in the library: the rewrite of a
-symmetric polynomial in the elementary basis (`express_in_elementary`)
-and an exact linear solver over the rationals (`linear_solve`).  The
-`selftest` suites check both, and the per-layer tracer in `perfbench`
-wraps them by name.
+symmetric polynomial in the elementary basis (`express_in_elementary`,
+whose descent also decides symmetry) and an exact linear solver over the
+rationals (`linear_solve`).  The `selftest` suites check both, and the
+per-layer tracer in `perfbench` wraps them by name.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ __all__ = [
     "LinearSolveResult",
     "make_ring",
     "elementary_symmetric_all",
-    "is_symmetric",
     "express_in_elementary",
     "first_difference",
     "linear_solve",
@@ -453,27 +452,6 @@ class RationalPoly(SparseTerms):
             total = total + term
         return total
 
-    def restricted(self, ring: Iterable[Variable]) -> "RationalPoly":
-        """Project onto a subring; fails if a term uses a dropped variable."""
-        ring = make_ring(*ring)
-        positions: list[int | None] = [
-            ring.index(v) if v in ring else None for v in self.ring
-        ]
-        out = {}
-        for exps, coef in self.terms.items():
-            new = [0] * len(ring)
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                pos = positions[i]
-                if pos is None:
-                    raise ValueError(
-                        f"term uses {self.ring[i].name!r}, which the target ring omits"
-                    )
-                new[pos] = e
-            out[tuple(new)] = coef
-        return RationalPoly(ring, out)
-
     # -- serialization ------------------------------------------------------
 
     def _factors(self, exps: Exponents) -> list[str]:
@@ -563,29 +541,6 @@ def elementary_symmetric_all(
     return es
 
 
-def _swapped(p: RationalPoly, a: Variable, b: Variable) -> RationalPoly:
-    i, j = p.ring.index(a), p.ring.index(b)
-    out = {}
-    for exps, coef in p.terms.items():
-        e = list(exps)
-        e[i], e[j] = e[j], e[i]
-        out[tuple(e)] = coef
-    return RationalPoly(p.ring, out)
-
-
-def is_symmetric(p: RationalPoly, variables: Sequence[Variable]) -> bool:
-    """True iff p is invariant under all permutations of the given variables.
-
-    Adjacent transpositions generate the full symmetric group, so checking
-    them suffices.
-    """
-    variables = list(variables)
-    for v in variables:
-        if v not in p.ring:
-            raise ValueError(f"{v.name!r} is not a variable of the ring of p")
-    return all(_swapped(p, a, b) == p for a, b in zip(variables, variables[1:]))
-
-
 def express_in_elementary(
     p: RationalPoly,
     variables: Sequence[Variable],
@@ -593,25 +548,27 @@ def express_in_elementary(
 ) -> RationalPoly:
     """Rewrite a symmetric polynomial as a polynomial in e_1..e_n.
 
-    Classical descent: the lex-leading exponent of a symmetric polynomial is
-    weakly decreasing, so subtracting coef * e_1^(l1-l2) * ... * e_n^(ln)
-    strictly lowers the leading monomial and terminates.  The rewrite is
-    verified by substituting the elementary polynomials back in.
+    Classical descent over the ring of the variables: subtracting coef *
+    e_1^(l1-l2) * ... * e_n^(ln) cancels a weakly decreasing lex-leading
+    exponent and leaves lex-smaller monomials, so it ends: at zero exactly
+    when p is symmetric, else at a lead that is not weakly decreasing.  The
+    rewrite is verified by substituting the elementary polynomials back in.
     """
-    variables = list(variables)
-    n = len(variables)
-    if not is_symmetric(p, variables):
-        raise ValueError("polynomial is not symmetric in the given variables")
     src_ring = make_ring(*variables)
-    proj = p.restricted(src_ring)
+    if p.ring != src_ring:
+        raise ValueError(
+            f"polynomial ring ({', '.join(v.name for v in p.ring)}) is not the"
+            f" ring of the given variables ({', '.join(v.name for v in src_ring)})"
+        )
+    n = len(src_ring)
     if target_vars is None:
         target_vars = tuple(Variable(f"e{i}", i) for i in range(1, n + 1))
     target = make_ring(*target_vars)
     if len(target) != n:
         raise ValueError("need exactly one target variable per source variable")
-    gens = [RationalPoly.gen(src_ring, v) for v in variables]
+    gens = [RationalPoly.gen(src_ring, v) for v in src_ring]
     es = elementary_symmetric_all(gens, src_ring)
-    work = proj
+    work = p
     out_terms: list[tuple[Exponents, Fraction]] = []
     while work.terms:
         lead = max(work.terms)
@@ -630,11 +587,11 @@ def express_in_elementary(
     q = RationalPoly(target, out_terms)
     bindings = {target[i]: es[i + 1] for i in range(n)}
     back = q.substitute(bindings, target_ring=src_ring)
-    if back != proj:
+    if back != p:
         raise RuntimeError(
             "elementary-basis rewrite in"
             f" {', '.join(v.name for v in target)} failed back-substitution;"
-            f" first differing term {first_difference(back, proj)}"
+            f" first differing term {first_difference(back, p)}"
         )
     return q
 

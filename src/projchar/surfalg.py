@@ -578,9 +578,9 @@ def canonicality_check(
     class z and that the canonical classes a_2..a_rank are unchanged.  Both
     hold identically; a failure means a sign or arithmetic bug.
     """
-    values = _check_chern_list(rank, chern)
+    values = list(chern)
+    twisted = twist_chern(rank, values, f)  # validates the list, then f
     algebra, ring = values[0].algebra, values[0].ring
-    twisted = twist_chern(rank, values, f)
     first_failure: Optional[str] = None
     h1_checks = 0
     for i in range(1, ring.genus + 1):

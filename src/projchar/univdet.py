@@ -14,6 +14,8 @@ conditions that make such a word possible and constructs the word.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -335,13 +337,33 @@ def construct_xi(
 # -- parameter documents -------------------------------------------------------
 
 
+# a decimal literal as `Fraction` reads it, capturing the digits of its exponent
+_DECIMAL_WITH_EXPONENT = re.compile(
+    r"[-+]?(?=\.?\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?[eE][-+]?(\d+(?:_\d+)*)"
+)
+
+
+def _parse_weight(literal: str) -> Fraction:
+    """The Fraction of a weight literal; `Fraction("1e3000000")` would build
+    the whole power of ten, so an exponent past the int-string limit (or its
+    default, when the limit is off) is refused first."""
+    m = _DECIMAL_WITH_EXPONENT.fullmatch(literal)
+    if m:
+        digits = m.group(1).replace("_", "").lstrip("0")
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        # lengths first: int() itself refuses a string longer than the limit
+        if len(digits) > len(str(limit)) or int(digits or "0") > limit:
+            raise ValueError(f"exponent too large in {literal!r}")
+    return Fraction(literal)
+
+
 def parse_moduli_params(text: str) -> ModuliParams:
     """Parse the key-value parameter document.
 
     Lines are `key = value` with `#` comments.  Keys n, d, g set the scalar
     parameters; each `point = LABEL` opens a marked point whose following
     `multiplicities` and `weights` lines (space- or comma-separated) belong
-    to it.  Weights are exact rationals like 1/3.
+    to it.  Weights are exact rationals like 1/3 (see `_parse_weight`).
     """
     n = d = g = None
     points: list[ParabolicPoint] = []
@@ -389,7 +411,7 @@ def parse_moduli_params(text: str) -> ModuliParams:
                 if key == "multiplicities":
                     current[key] = [int(s) for s in items]
                 else:
-                    current[key] = [Fraction(s) for s in items]
+                    current[key] = [_parse_weight(s) for s in items]
             else:
                 raise ValueError(f"unknown key {key!r}")
         except ValueError as exc:

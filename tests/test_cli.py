@@ -312,6 +312,7 @@ class TestExitCodes:
         [
             ("0 1/0", "line 6: zero denominator in '0 1/0'"),
             ("0 nan", "line 6: Invalid literal for Fraction: 'nan'"),
+            ("0 1e300000", "line 6: exponent too large in '1e300000'"),
         ],
     )
     def test_unreadable_weight_is_domain_error(
@@ -319,7 +320,9 @@ class TestExitCodes:
     ):
         doc = tmp_path / "params.txt"
         doc.write_text(PARABOLIC_DOC.replace("0 1/2", weights))
+        start = time.perf_counter()
         code, out, err = run(capsys, command, str(doc))
+        assert time.perf_counter() - start < 1.0
         assert code == 1
         assert out == ""
         assert err == f"error: {message}\n"

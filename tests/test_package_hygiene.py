@@ -1,4 +1,5 @@
-"""The package needs only the standard library and never checks by `assert`."""
+"""The package needs only the standard library, never checks by `assert`,
+and declares each public name once, in its own module."""
 
 import ast
 import os
@@ -7,6 +8,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import projchar
+from projchar import projclass, qpoly, surfalg, univdet
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "projchar"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -52,3 +56,16 @@ def test_cli_import_leaves_selftest_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+def test_package_exports_each_module_all_once():
+    modules = (qpoly, projclass, surfalg, univdet)
+    expected = ["__version__", *(name for m in modules for name in m.__all__)]
+    assert projchar.__all__ == expected
+    assert len(set(expected)) == len(expected)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(projchar, name) is getattr(module, name)
+    namespace = {}
+    exec("from projchar import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(expected)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from projchar import surfalg
 from projchar.surfalg import (
     K_OMEGA,
     K_ONE,
@@ -483,3 +484,30 @@ class TestCanonicality:
         report = canonicality_check(2, chern, self.alg.gen("u2"))
         assert report.passed
         assert report.h1_checks == 0
+
+    def test_chern_list_is_validated_once_per_check(self, monkeypatch):
+        calls = []
+        original = surfalg._check_chern_list
+
+        def counted(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(surfalg, "_check_chern_list", counted)
+        rng = random.Random(34)
+        for rank in (1, 2, 3):
+            chern = random_chern_list(rng, self.alg, self.ring, rank)
+            f = random_param_element(rng, self.alg, 2)
+            canonicality_check(rank, iter(chern), f)
+        assert calls == [1, 2, 3]
+
+    def test_chern_list_is_checked_before_the_twist_class(self):
+        u1 = KunnethClass.from_param(self.alg.gen("u1"), self.ring)
+        v1 = self.alg.gen("v1")
+        with pytest.raises(ValueError, match="^c2 has degree 2, expected 4$"):
+            canonicality_check(2, [u1, u1], v1)
+        with pytest.raises(ValueError, match="^rank must be positive, got 0$"):
+            canonicality_check(0, [], v1)
+        chern = random_chern_list(random.Random(35), self.alg, self.ring, 2)
+        with pytest.raises(ValueError, match="^twist class has degree 1, expected 2$"):
+            canonicality_check(2, chern, v1)

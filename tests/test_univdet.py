@@ -1,6 +1,8 @@
 """Determinant line bundles: weights, coprimality conditions, weight-one words."""
 
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -321,6 +323,7 @@ class TestParseDocument:
     multiplicities = 1 1
     weights = 1/4 3/4
     """
+    WEIGHTS_DOC = "n = 2\nd = 0\ng = 0\npoint = x\nmultiplicities = 1 1\nweights = 0 {}\n"
 
     def test_full_document(self):
         ps = parse_moduli_params(self.DOC)
@@ -353,6 +356,36 @@ class TestParseDocument:
         doc = "n = 2\nd = 0\ng = 0\npoint = x\nmultiplicities = 1 1\nweights = 0 1/0\n"
         with pytest.raises(ValueError, match="^line 6: zero denominator in '0 1/0'$"):
             parse_moduli_params(doc)
+
+    @pytest.mark.parametrize(
+        "literal, message",
+        [
+            ("1e300000", "exponent too large in '1e300000'"),
+            ("1e3000000", "exponent too large in '1e3000000'"),
+            ("1E-300000", "exponent too large in '1E-300000'"),
+            ("-2.5e+300000", "exponent too large in '-2.5e+300000'"),
+            ("1e3_000_000", "exponent too large in '1e3_000_000'"),
+            ("xe300000", "Invalid literal for Fraction: 'xe300000'"),
+        ],
+    )
+    def test_huge_exponent_weight_is_refused_before_fraction(self, literal, message):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            parse_moduli_params(self.WEIGHTS_DOC.format(literal))
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == f"line 6: {message}"
+
+    def test_exponent_at_the_int_string_limit_is_read(self):
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        doc = self.WEIGHTS_DOC
+        ps = parse_moduli_params(doc.format(f"1e-{limit:_}"))
+        assert ps.point("x").weights == (0, Fraction(1, 10**limit))
+        with pytest.raises(ValueError, match="^line 6: exponent too large in"):
+            parse_moduli_params(doc.format(f"1e-{limit + 1}"))
+        assert parse_moduli_params(doc.format("1e-1")).point("x").weights == (
+            0,
+            Fraction(1, 10),
+        )
 
     def test_validation_applies(self):
         doc = "n = 3\nd = 1\ng = 0\npoint = x\nmultiplicities = 1 1\nweights = 0 1/2\n"
