@@ -2,9 +2,9 @@
 
 Every subcommand wraps one library operation family and emits deterministic
 output: plain text by default, or with --json a stable document of the form
-{"subcommand", "inputs", "result", "audit"}.  Rational values are rendered
-as exact "p/q" strings, never floats.  Exit codes: 0 success, 1 domain
-error, 2 usage error.
+{"subcommand", "inputs", "result", "audit"}, where "inputs" echoes every
+parsed argument except --json.  Rational values are rendered as exact "p/q"
+strings, never floats.  Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -27,19 +27,21 @@ _CVAR_RE = re.compile(r"c([1-9]\d*)")
 
 @dataclass
 class CommandOutput:
-    subcommand: str
-    inputs: dict[str, Any]
     result: Any
     audit: list[str]
     text: str
     status: int = 0
 
 
-def _emit(out: CommandOutput, as_json: bool) -> None:
-    if as_json:
+# parsed names that are not inputs; every other parsed argument is echoed
+_NOT_INPUTS = ("subcommand", "json", "handler")
+
+
+def _emit(out: CommandOutput, args: argparse.Namespace) -> None:
+    if args.json:
         doc = {
-            "subcommand": out.subcommand,
-            "inputs": out.inputs,
+            "subcommand": args.subcommand,
+            "inputs": {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS},
             "result": out.result,
             "audit": out.audit,
         }
@@ -54,10 +56,6 @@ def _read_document(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _parse_params(path: str) -> univdet.ModuliParams:
-    return univdet.parse_moduli_params(_read_document(path))
-
-
 # -- subcommand handlers -----------------------------------------------------
 
 
@@ -66,8 +64,6 @@ def _cmd_zbasis(args: argparse.Namespace) -> CommandOutput:
     expr = projclass.z_basis(ring, args.k)
     text = expr.poly.to_text()
     return CommandOutput(
-        "zbasis",
-        {"n": args.n, "k": args.k},
         text,
         [
             f"generators c1..c{args.n} with weight(ci) = i",
@@ -83,8 +79,6 @@ def _cmd_lambda_p(args: argparse.Namespace) -> CommandOutput:
     p_text = data.P.to_text()
     lower = "c1" if args.k == 2 else f"c1 and a2..a{args.k - 1}"
     return CommandOutput(
-        "lambda-p",
-        {"n": args.n, "k": args.k},
         {"lambda": lam, "P": p_text},
         [
             f"identity: a{args.k} = P + lambda*c{args.k}",
@@ -100,6 +94,7 @@ def _parse_assignments(
 ) -> tuple[list[RationalPoly], list[str]]:
     values = [RationalPoly.gen(ring.c_ring, v) for v in ring.chern_vars]
     echo = []
+    assigned = set()
     for item in raw:
         if "=" not in item:
             raise ValueError(f"assignment {item!r} is not of the form ci=POLY")
@@ -108,6 +103,9 @@ def _parse_assignments(
         if not m or not 1 <= int(m.group(1)) <= rank:
             raise ValueError(f"{name!r} is not one of c1..c{rank}")
         i = int(m.group(1))
+        if i in assigned:
+            raise ValueError(f"c{i} is assigned twice")
+        assigned.add(i)
         values[i - 1] = parse_poly(text, ring.c_ring)
         echo.append(f"c{i} = {values[i - 1].to_text()}")
     return values, echo
@@ -115,13 +113,11 @@ def _parse_assignments(
 
 def _cmd_aclass(args: argparse.Namespace) -> CommandOutput:
     ring = projclass.chern_ring(args.n)
-    values, echo = _parse_assignments(args.n, ring, args.set or [])
+    values, echo = _parse_assignments(args.n, ring, args.assignments)
     results = projclass.a_classes(args.n, values, zero=RationalPoly.zero(ring.c_ring))
     named = {f"a{k}": poly.to_text() for k, poly in enumerate(results, start=2)}
     lines = [f"{name} = {text}" for name, text in named.items()]
     return CommandOutput(
-        "aclass",
-        {"n": args.n, "assignments": args.set or []},
         named,
         echo or ["generic Chern classes"],
         "\n".join(lines) if lines else "rank 1 has no canonical classes",
@@ -132,8 +128,6 @@ def _cmd_end_chern(args: argparse.Namespace) -> CommandOutput:
     expr = projclass.end_chern(args.n, args.j)
     text = expr.poly.to_text()
     return CommandOutput(
-        "end-chern",
-        {"n": args.n, "j": args.j},
         text,
         [
             f"roots: the {args.n * args.n} ordered differences xa - xb"
@@ -148,8 +142,6 @@ def _cmd_end_in_a(args: argparse.Namespace) -> CommandOutput:
     expr = projclass.end_in_a(args.n, args.j)
     text = expr.poly.to_text()
     return CommandOutput(
-        "end-in-a",
-        {"n": args.n, "j": args.j},
         text,
         [f"generators z2..z{args.n} with weight(zk) = k"],
         text,
@@ -179,8 +171,6 @@ def _cmd_invariance_check(args: argparse.Namespace) -> CommandOutput:
     if z_text is not None:
         lines.append(f"z-expression: {z_text}")
     return CommandOutput(
-        "invariance-check",
-        {"n": args.n, "polynomial": args.polynomial},
         {"invariant": invariant, "z_expression": z_text},
         audit,
         "\n".join(lines),
@@ -196,8 +186,6 @@ def _cmd_hom_flag(args: argparse.Namespace) -> CommandOutput:
     poly = projclass.hom_flag_chern(sub, target, args.j)
     text = poly.to_text()
     return CommandOutput(
-        "hom-flag",
-        {"sub_rank": args.sub_rank, "target_rank": args.target_rank, "j": args.j},
         text,
         [
             f"subbundle roots s1..s{args.sub_rank},"
@@ -210,7 +198,7 @@ def _cmd_hom_flag(args: argparse.Namespace) -> CommandOutput:
 
 
 def _cmd_catalog(args: argparse.Namespace) -> CommandOutput:
-    params = _parse_params(args.params)
+    params = univdet.parse_moduli_params(_read_document(args.params))
     entries = projclass.generator_catalog(
         params.n, params.g, params.datum, args.fixed_det
     )
@@ -225,8 +213,6 @@ def _cmd_catalog(args: argparse.Namespace) -> CommandOutput:
     ]
     audit += [f"degree {d}: {c} generator(s)" for d, c in sorted(by_degree.items())]
     return CommandOutput(
-        "catalog",
-        {"params": args.params, "fixed_det": args.fixed_det},
         [{"name": name, "degree": deg} for name, deg in entries],
         audit,
         "\n".join(f"{name} degree={deg}" for name, deg in entries),
@@ -264,13 +250,6 @@ def _cmd_canonicality(args: argparse.Namespace) -> CommandOutput:
     ]
     lines += failures
     return CommandOutput(
-        "canonicality",
-        {
-            "rank": args.rank,
-            "genus": args.genus,
-            "seed": args.seed,
-            "count": args.count,
-        },
         {
             "instances": args.count,
             "passed": passed,
@@ -288,18 +267,11 @@ def _cmd_canonicality(args: argparse.Namespace) -> CommandOutput:
 
 
 def _cmd_universal_bundle(args: argparse.Namespace) -> CommandOutput:
-    params = _parse_params(args.params)
+    params = univdet.parse_moduli_params(_read_document(args.params))
     report = univdet.check_conditions(params)
     satisfied = list(report.satisfied)
-    inputs = {
-        "params": args.params,
-        "condition": args.condition,
-        "witness": args.witness,
-    }
     if not satisfied:
         return CommandOutput(
-            "universal-bundle",
-            inputs,
             {"satisfied": [], "condition": None, "word": None, "weight": None},
             ["no coprimality condition holds; no weight-1 word exists here"],
             "satisfied: none",
@@ -326,8 +298,6 @@ def _cmd_universal_bundle(args: argparse.Namespace) -> CommandOutput:
         f"weight: {weight}",
     ]
     return CommandOutput(
-        "universal-bundle",
-        inputs,
         {
             "satisfied": satisfied,
             "condition": condition,
@@ -351,8 +321,6 @@ def _cmd_selftest(args: argparse.Namespace) -> CommandOutput:
         lines += [f"  FAIL {r.name}: {label}" for label in r.failures]
     lines.append("all suites passed" if failed == 0 else f"{failed} check(s) failed")
     return CommandOutput(
-        "selftest",
-        {},
         [
             {
                 "suite": r.name,
@@ -402,6 +370,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--set",
         action="append",
+        dest="assignments",
+        default=[],
         metavar="ci=POLY",
         help="assign a polynomial in c1..cn to one Chern class (repeatable)",
     )
@@ -472,7 +442,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         out = args.handler(args)
-        _emit(out, args.json)
+        _emit(out, args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -363,9 +363,10 @@ def parse_moduli_params(text: str) -> ModuliParams:
     Lines are `key = value` with `#` comments.  Keys n, d, g set the scalar
     parameters; each `point = LABEL` opens a marked point whose following
     `multiplicities` and `weights` lines (space- or comma-separated) belong
-    to it.  Weights are exact rationals like 1/3 (see `_parse_weight`).
+    to it.  Weights are exact rationals like 1/3 (see `_parse_weight`).  A key
+    may appear once per document (n, d, g) or once per point (the others).
     """
-    n = d = g = None
+    scalars: dict[str, int] = {}
     points: list[ParabolicPoint] = []
     current: dict | None = None
 
@@ -395,18 +396,18 @@ def parse_moduli_params(text: str) -> ModuliParams:
         key, value = (s.strip() for s in line.split("=", 1))
         key = key.lower()
         try:
-            if key == "n":
-                n = int(value)
-            elif key == "d":
-                d = int(value)
-            elif key == "g":
-                g = int(value)
+            if key in ("n", "d", "g"):
+                if key in scalars:
+                    raise ValueError(f"duplicate key {key!r}")
+                scalars[key] = int(value)
             elif key == "point":
                 flush()
                 current = {"label": value}
             elif key in ("multiplicities", "weights"):
                 if current is None:
                     raise ValueError(f"{key} appears before any point")
+                if key in current:
+                    raise ValueError(f"duplicate key {key!r}")
                 items = [s for s in value.replace(",", " ").split() if s]
                 if key == "multiplicities":
                     current[key] = [int(s) for s in items]
@@ -419,8 +420,10 @@ def parse_moduli_params(text: str) -> ModuliParams:
         except ZeroDivisionError:  # Fraction("1/0")
             raise ValueError(f"line {lineno}: zero denominator in {value!r}") from None
     flush()
-    if n is None or d is None or g is None:
+    if len(scalars) < 3:
         raise ValueError("document must set n, d and g")
-    params = ModuliParams(n, d, g, ParabolicDatum(tuple(points)))
+    params = ModuliParams(
+        scalars["n"], scalars["d"], scalars["g"], ParabolicDatum(tuple(points))
+    )
     params.validate()
     return params

@@ -73,6 +73,11 @@ class TestAClass:
         assert code == 0
         assert out == "a2 = 0\na3 = 27*c3\n"
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_repeated_assignment_is_refused(self, capsys, json_flag):
+        argv = ("aclass", "2", "--set", "c1=1*c1", "--set", "c1=2*c1", *json_flag)
+        assert run(capsys, *argv) == (1, "", "error: c1 is assigned twice\n")
+
     def test_rank_one(self, capsys):
         code, out, _ = run(capsys, "aclass", "1")
         assert code == 0
@@ -126,6 +131,13 @@ class TestInvarianceCheck:
         doc = json.loads(out)
         assert doc["result"] == {"invariant": False, "z_expression": None}
 
+    def test_leading_minus_follows_double_dash(self, capsys):
+        code, out, _ = run(capsys, "invariance-check", "2", "--json", "--", "-1*c2")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["inputs"] == {"n": 2, "polynomial": "-1*c2"}
+        assert doc["result"]["invariant"] is False
+
 
 class TestJsonSchema:
     def test_document_shape(self, capsys):
@@ -134,9 +146,49 @@ class TestJsonSchema:
         doc = json.loads(out)
         assert list(doc) == ["subcommand", "inputs", "result", "audit"]
         assert doc["subcommand"] == "zbasis"
-        assert doc["inputs"] == {"n": 3, "k": 3}
         assert doc["result"] == "2*c1^3 + -9*c1*c2 + 27*c3"
         assert isinstance(doc["audit"], list)
+
+    @pytest.mark.parametrize(
+        "argv, inputs",
+        [
+            (("zbasis", "3", "3"), {"n": 3, "k": 3}),
+            (("lambda-p", "3", "2"), {"n": 3, "k": 2}),
+            (("aclass", "2"), {"n": 2, "assignments": []}),
+            (
+                ("aclass", "3", "--set", "c2=0", "--set", "c1=1*c1"),
+                {"n": 3, "assignments": ["c2=0", "c1=1*c1"]},
+            ),
+            (("end-chern", "2", "2"), {"n": 2, "j": 2}),
+            (("end-in-a", "2", "2"), {"n": 2, "j": 2}),
+            (("invariance-check", "2", "1*c2"), {"n": 2, "polynomial": "1*c2"}),
+            (("hom-flag", "1", "2", "2"), {"sub_rank": 1, "target_rank": 2, "j": 2}),
+            (("catalog", "params.txt"), {"params": "params.txt", "fixed_det": False}),
+            (
+                ("canonicality", "2", "1", "--count", "1"),
+                {"rank": 2, "genus": 1, "seed": 0, "count": 1},
+            ),
+            (
+                ("universal-bundle", "params.txt", "--witness", "x,2"),
+                {"params": "params.txt", "condition": None, "witness": "x,2"},
+            ),
+            (
+                ("universal-bundle", "params.txt", "--witness=x,2", "--condition=C2"),
+                {"params": "params.txt", "condition": "C2", "witness": "x,2"},
+            ),
+            (("selftest",), {}),
+        ],
+    )
+    def test_inputs_echo_every_parsed_argument(
+        self, capsys, tmp_path, monkeypatch, argv, inputs
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "params.txt").write_text(PARABOLIC_DOC)
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["subcommand"] == argv[0]
+        assert list(doc["inputs"].items()) == list(inputs.items())
 
     def test_rationals_are_strings(self, capsys):
         _, out, _ = run(capsys, "lambda-p", "2", "2", "--json")
@@ -301,6 +353,12 @@ class TestExitCodes:
             assert out.strip() not in ("", "0")
             assert elapsed < 5.0
 
+    def test_repeated_document_key_is_domain_error(self, capsys, tmp_path):
+        doc = tmp_path / "params.txt"
+        doc.write_text(NEWSTEAD_DOC + "n = 3\n")
+        code, out, err = run(capsys, "catalog", str(doc))
+        assert (code, out, err) == (1, "", "error: line 4: duplicate key 'n'\n")
+
     def test_missing_file_is_domain_error(self, capsys):
         code, _, err = run(capsys, "catalog", "/nonexistent/params.txt")
         assert code == 1
@@ -340,6 +398,11 @@ class TestExitCodes:
         code, out, err = run(capsys, "zbasis", "x")
         assert code == 2 and out == "" and "invalid int value: 'x'" in err
         assert run(capsys, "zbasis", "2", "2") == (0, "-1*c1^2 + 4*c2\n", "")
+
+    def test_assignments_default_is_not_shared_between_calls(self, capsys):
+        for options, assignments in ((("--set", "c1=0"), ["c1=0"]), ((), [])):
+            _, out, _ = run(capsys, "aclass", "2", *options, "--json")
+            assert json.loads(out)["inputs"] == {"n": 2, "assignments": assignments}
 
 
 class TestSelftest:

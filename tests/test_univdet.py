@@ -348,6 +348,34 @@ class TestParseDocument:
         with pytest.raises(ValueError, match="no weights"):
             parse_moduli_params(doc)
 
+    POINT_X = "point = x\nmultiplicities = 1 1\nweights = 0 1/2\n"
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ("n = 2\nn = 3\nd = 1\ng = 0\n", "line 2: duplicate key 'n'"),
+            ("n = 2\nd = 1\ng = 0\nG = 1\n", "line 4: duplicate key 'g'"),
+            (
+                "n = 2\nd = 0\ng = 0\n" + POINT_X + "weights = 0 1/3\n",
+                "line 7: duplicate key 'weights'",
+            ),
+            (
+                "n = 2\nd = 0\ng = 0\n" + POINT_X + "multiplicities = 2\n",
+                "line 7: duplicate key 'multiplicities'",
+            ),
+        ],
+    )
+    def test_repeated_key_is_refused(self, doc, message):
+        with pytest.raises(ValueError) as info:
+            parse_moduli_params(doc)
+        assert str(info.value) == message
+
+    def test_repeated_label_keeps_its_message(self):
+        doc = "n = 2\nd = 0\ng = 0\n" + self.POINT_X * 2
+        with pytest.raises(ValueError) as info:
+            parse_moduli_params(doc)
+        assert str(info.value) == "duplicate point labels: ['x', 'x']"
+
     def test_bad_integer(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_moduli_params("n = two\nd = 1\ng = 0\n")
