@@ -78,12 +78,14 @@ def _cmd_lambda_p(args: argparse.Namespace) -> CommandOutput:
     lam = format_fraction(data.lam)
     p_text = data.P.to_text()
     lower = "c1" if args.k == 2 else f"c1 and a2..a{args.k - 1}"
+    at = "c1" if args.k == 2 else f"c1, z2(c)..z{args.k - 1}(c)"
+    check = f"P({at}) + lambda*c{args.k} == z{args.k}(c)"
     return CommandOutput(
         {"lambda": lam, "P": p_text},
         [
             f"identity: a{args.k} = P + lambda*c{args.k}",
             f"P involves only {lower}",
-            "verified by expansion to Chern roots",
+            f"verified in the Chern-class ring: {check}",
         ],
         f"lambda = {lam}, P = {p_text}",
     )

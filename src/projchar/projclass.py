@@ -7,25 +7,28 @@ canonical generators: the elementary symmetric functions z_k of the
 difference roots y_i = n*x_i - (x_1 + ... + x_n).
 
 One identity does the work: the twist x_i -> x_i + f sends c_k to
-sum_i C(n-i, k-i) * c_i * f^(k-i).  Twisting by f = -c_1/n moves the roots
-to y_i/n, so z_k is n^k times the twisted c_k.  Each rank's `ChernRing`
-keeps two maps built once: z_k(c), from that one twist, and the traceless
-frame c_1 = 0, c_k = z_k/n^k.  A twist-invariant class p equals its value
-in that frame, which is therefore its rewrite in the z_k; p is invariant
-exactly when that normal form, expanded back through z_k(c), returns p.
-Twisting back by +c_1/n gives a_k = P + lambda * c_k in closed form.
+sum_i C(n-i, k-i) * c_i * f^(k-i).  The roots n*x_i have classes n^i*c_i,
+and twisting them by f = -c_1 gives the y_i, so one twist over the
+integers gives every z_k(c), with z_1 = e_1(y) = 0.  Each rank's
+`ChernRing` keeps that one map.  A twist-invariant class p of weight w
+equals its value at c_1 = 0, c_k = z_k/n^k, which is
+n^-w * p(0, z_2, ..., z_n): its normal form in the z_k, read off the
+c_1-free terms of p.  p is invariant exactly when that normal form,
+expanded back through z_k(c), returns p.  Twisting the y_i back by +c_1
+gives a_k = P + lambda * c_k in closed form.
 
 The classes of the endomorphism bundle End are twist-invariant too, so
-they are computed in the traceless frame with no root ring: Newton's
-identities give the power sums p_m of the roots from e_1 = 0,
-e_k = z_k/n^k; the roots x_a - x_b of End have power sums
+they are computed from the y_i with no root ring: Newton's identities give
+the power sums p_m of the y_i from e_1 = 0, e_k = z_k; the roots
+y_a - y_b = n*(x_a - x_b) have power sums
 sum_i (-1)^(m-i) C(m,i) p_i p_{m-i}; Newton's identities turn those back
-into c_j(End) in the z_k, which expand once through z_k(c) into the c_i.
-Each rank's classes are spot-checked at fixed integer roots.  Whether
-they generate has a closed form as well: End is self-dual, so its odd
-classes vanish and no product of End classes reaches z_3.  Hom bundles
-of flags take all e_j of their root differences at once, cached per pair
-of root sets.  The module also enumerates generator catalogs.
+into n^j * c_j(End) in the z_k, and one division by n^j at the end gives
+c_j(End), which expands once through z_k(c) into the c_i.  Each rank's
+classes are spot-checked at fixed integer roots.  Whether they generate
+has a closed form as well: End is self-dual, so its odd classes vanish and
+no product of End classes reaches z_3.  Hom bundles of flags take all e_j
+of their root differences at once, cached per pair of root sets.  The
+module also enumerates generator catalogs.
 """
 
 from __future__ import annotations
@@ -75,9 +78,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChernRing:
-    """Symbol table for a fixed rank: roots x_i, classes c_i, generators z_k.
+    """Symbol table for a fixed rank: classes c_i and generators z_k.
 
-    Built once per rank: z_k in the c_i, and the frame c_1 = 0, c_k = z_k/n^k.
+    Built once per rank: each z_k in the c_i, with integer coefficients.
     """
 
     rank: int
@@ -87,20 +90,12 @@ class ChernRing:
             raise ValueError(f"rank must be positive, got {self.rank}")
 
     @cached_property
-    def root_vars(self) -> tuple[Variable, ...]:
-        return tuple(Variable(f"x{i}") for i in range(1, self.rank + 1))
-
-    @cached_property
     def chern_vars(self) -> tuple[Variable, ...]:
         return tuple(Variable(f"c{i}", i) for i in range(1, self.rank + 1))
 
     @cached_property
     def z_vars(self) -> tuple[Variable, ...]:
         return tuple(Variable(f"z{k}", k) for k in range(2, self.rank + 1))
-
-    @cached_property
-    def root_ring(self) -> tuple[Variable, ...]:
-        return make_ring(*self.root_vars)
 
     @cached_property
     def c_ring(self) -> tuple[Variable, ...]:
@@ -112,17 +107,12 @@ class ChernRing:
 
     @cached_property
     def _z_in_c(self) -> Mapping[Variable, RationalPoly]:
-        # the twist by -c1/n sends x_i to y_i/n, so e_k(y) = n^k * c'_k
-        c = [RationalPoly.gen(self.c_ring, v) for v in self.chern_vars]
-        one = RationalPoly.const(self.c_ring, 1)
-        twisted = twist(c, c[0] * Fraction(-1, self.rank), one)
-        return {z: self.rank**k * twisted[k - 1] for k, z in enumerate(self.z_vars, 2)}
-
-    @cached_property
-    def _traceless_frame(self) -> Mapping[Variable, RationalPoly]:
-        n, ring = self.rank, self.z_ring
-        z = [RationalPoly.gen(ring, v) / n**k for k, v in enumerate(self.z_vars, 2)]
-        return dict(zip(self.chern_vars, [RationalPoly.zero(ring), *z]))
+        # the roots n*x_i have classes n^i*c_i; twisting them by -c1 gives y_i
+        n, ring = self.rank, self.c_ring
+        c = [RationalPoly.gen(ring, v) for v in self.chern_vars]
+        scaled = [n**i * ci for i, ci in enumerate(c, 1)]
+        one = RationalPoly.const(ring, 1)
+        return dict(zip(self.z_vars, twist(scaled, -c[0], one)[1:]))
 
 
 @lru_cache(maxsize=None)
@@ -218,14 +208,19 @@ def z_basis(ring: ChernRing, k: int) -> ChernExpression:
 def rewrite_in_z(expr: ChernExpression) -> AClassExpression | None:
     """The class in the canonical z-generators, or None if it is not twist-invariant.
 
-    The candidate is the normal form p(0, z_2/n^2, ..., z_n/n^n): the class
-    read in the traceless frame, where c_1 = 0 and c_k = z_k/n^k.  Every
-    twist-invariant class equals its normal form, and every polynomial in
-    the z_k is invariant, so the class is invariant exactly when the normal
-    form expanded back through z_k(c) gives the class again.
+    A twist-invariant class of weight w equals its value at c_1 = 0,
+    c_k = z_k/n^k, and that value is n^-w * p(0, z_2, ..., z_n): the
+    c_1-free terms of the class, read as z-monomials and divided by n^w.
+    Every polynomial in the z_k is invariant, so the class is invariant
+    exactly when this normal form expanded back through z_k(c) gives the
+    class again.
     """
     ring = expr.ring
-    q = expr.poly.substitute(ring._traceless_frame, target_ring=ring.z_ring)
+    scale = ring.rank**expr.weight
+    q = RationalPoly(
+        ring.z_ring,
+        {e[1:]: Fraction(c, scale) for e, c in expr.poly.terms.items() if not e[0]},
+    )
     if q.substitute(ring._z_in_c, target_ring=ring.c_ring) != expr.poly:
         return None
     return AClassExpression(ring, q)
@@ -267,8 +262,8 @@ def _a_var(i: int) -> Variable:
 def lambda_p(n: int, k: int) -> ReductionData:
     """Reduction data (lambda, P) with e_k(y) = P(c_1, a_2..a_{k-1}) + lambda*c_k.
 
-    Twisting the traceless frame (c_1 = 0, c_i = a_i/n^i) back by +c_1/n
-    recovers c_k, which gives lambda = n^k and
+    Twisting the difference roots y_i back by +c_1 gives the roots n*x_i,
+    whose k-th class is n^k * c_k, which gives lambda = n^k and
     P = -sum_{i in {0, 2..k-1}} C(n-i, k-i) * c_1^(k-i) * a_i with a_0 = 1.
     The identity is re-checked in the Chern-class ring.
     """
@@ -338,16 +333,17 @@ def a_classes(
 # -- endomorphism and Hom bundles -----------------------------------------------
 
 
-def _traceless_power_sums(n: int) -> list[RationalPoly]:
-    """p_0..p_{n^2} of the Chern roots in the traceless frame, in the z_k.
+def _y_power_sums(n: int) -> list[RationalPoly]:
+    """p_0..p_{n^2} of the difference roots y_i, in the z_k.
 
-    In that frame e_1 = 0 and e_k = z_k/n^k; Newton's identities
+    Their elementary classes are e_1 = 0 and e_k = z_k; Newton's identities
     p_m = sum_{i=1..m-1} (-1)^(i-1) e_i p_{m-i} + (-1)^(m-1) m e_m give the
     power sums, with p_0 = n and e_k = 0 for k > n.
     """
     ring = chern_ring(n)
     zero = RationalPoly.zero(ring.z_ring)
-    e = [RationalPoly.const(ring.z_ring, 1), *ring._traceless_frame.values()]
+    z = [RationalPoly.gen(ring.z_ring, v) for v in ring.z_vars]
+    e = [RationalPoly.const(ring.z_ring, 1), zero, *z]
     p = [RationalPoly.const(ring.z_ring, n)]
     for m in range(1, n * n + 1):
         acc = (-1) ** (m - 1) * m * e[m] if m <= n else zero
@@ -386,17 +382,17 @@ def _check_end_classes(n: int, es: Sequence[RationalPoly]) -> None:
 
 @lru_cache(maxsize=None)
 def _end_classes(n: int) -> tuple[RationalPoly, ...]:
-    """e_0..e_{n^2} of End, in the z_k, by power sums in the traceless frame.
+    """e_0..e_{n^2} of End, in the z_k, by power sums of the y_i.
 
-    End is twist-invariant, so its classes equal their traceless-frame
-    values.  Its roots x_a - x_b have power sums
+    The roots y_a - y_b = n*(x_a - x_b) have power sums
     P_m = sum_i (-1)^(m-i) C(m,i) p_i p_{m-i}, zero for odd m, and Newton's
     identities j*e_j = sum_{i=1..j} (-1)^(i-1) e_{j-i} P_i turn them back
-    into elementary classes, so the odd classes vanish too.
+    into their elementary classes n^j * c_j(End), so the odd classes vanish
+    too.  Each is divided by n^j once, at the end.
     """
     ring = chern_ring(n)
     zero = RationalPoly.zero(ring.z_ring)
-    p = _traceless_power_sums(n)
+    p = _y_power_sums(n)
     P = [zero] * (n * n + 1)
     for m in range(2, n * n + 1, 2):
         acc = (-1) ** (m // 2) * math.comb(m, m // 2) * p[m // 2] ** 2
@@ -409,6 +405,7 @@ def _end_classes(n: int) -> tuple[RationalPoly, ...]:
         for i in range(2, j + 1, 2):
             acc = acc - es[j - i] * P[i]
         es[j] = acc / j
+    es = [e / n**j for j, e in enumerate(es)]
     _check_end_classes(n, es)
     return tuple(es)
 

@@ -15,10 +15,21 @@ from functools import lru_cache
 from projchar.projclass import chern_ring, end_in_a
 from projchar.qpoly import (
     RationalPoly,
+    Variable,
     elementary_symmetric_all,
     linear_solve,
     make_ring,
 )
+
+
+def root_vars(ring):
+    """The formal Chern roots x_1..x_n of a rank-n `ChernRing`."""
+    return tuple(Variable(f"x{i}") for i in range(1, ring.rank + 1))
+
+
+def root_ring(ring):
+    """The polynomial ring in the Chern roots of a rank-n `ChernRing`."""
+    return make_ring(*root_vars(ring))
 
 
 def embedded(p, ring):
@@ -50,8 +61,8 @@ def elementary_symmetric(k, variables, ring=None):
 
 def y_roots(ring):
     """The difference roots y_i = n*x_i - (x_1 + ... + x_n); their sum is zero."""
-    gens = [RationalPoly.gen(ring.root_ring, v) for v in ring.root_vars]
-    total = RationalPoly.zero(ring.root_ring)
+    gens = [RationalPoly.gen(root_ring(ring), v) for v in root_vars(ring)]
+    total = RationalPoly.zero(root_ring(ring))
     for gpoly in gens:
         total = total + gpoly
     return tuple(ring.rank * gpoly - total for gpoly in gens)
@@ -60,15 +71,15 @@ def y_roots(ring):
 @lru_cache(maxsize=None)
 def _root_esp(n):
     ring = chern_ring(n)
-    gens = [RationalPoly.gen(ring.root_ring, v) for v in ring.root_vars]
-    return tuple(elementary_symmetric_all(gens, ring.root_ring))
+    gens = [RationalPoly.gen(root_ring(ring), v) for v in root_vars(ring)]
+    return tuple(elementary_symmetric_all(gens, root_ring(ring)))
 
 
 def expand_to_roots(ring, poly):
     """Substitute c_i -> e_i(x), landing in the root ring."""
     es = _root_esp(ring.rank)
     bindings = {v: es[i + 1] for i, v in enumerate(ring.chern_vars)}
-    return poly.substitute(bindings, target_ring=ring.root_ring)
+    return poly.substitute(bindings, target_ring=root_ring(ring))
 
 
 def span_witness(n):

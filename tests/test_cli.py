@@ -196,6 +196,18 @@ class TestJsonSchema:
         assert doc["result"]["lambda"] == "4"
         assert doc["result"]["P"] == "-1*c1^2"
 
+    def test_lambda_p_audit_names_the_chern_ring_check(self, capsys):
+        _, out, _ = run(capsys, "lambda-p", "4", "4", "--json")
+        assert json.loads(out)["audit"] == [
+            "identity: a4 = P + lambda*c4",
+            "P involves only c1 and a2..a3",
+            "verified in the Chern-class ring: P(c1, z2(c)..z3(c)) + lambda*c4 == z4(c)",
+        ]
+        _, out, _ = run(capsys, "lambda-p", "2", "2", "--json")
+        assert json.loads(out)["audit"][-1] == (
+            "verified in the Chern-class ring: P(c1) + lambda*c2 == z2(c)"
+        )
+
     def test_structural_integers_stay_integers(self, capsys, tmp_path):
         doc_path = tmp_path / "params.txt"
         doc_path.write_text(NEWSTEAD_DOC)

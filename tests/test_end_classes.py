@@ -1,9 +1,10 @@
-"""End classes by traceless-frame power sums, and the cached Hom e-lists.
+"""End classes by power sums of the difference roots, and the cached Hom e-lists.
 
-The library computes c_j(End) from power sums in the traceless frame and
-never touches the root ring.  The oracles here do: e_j of the n^2 root
-differences x_a - x_b, rewritten in c_1..c_n by elementary-basis descent,
-or evaluated at seeded rational roots.
+The library computes c_j(End) from power sums of the integer difference
+roots y_i = n*x_i - (x_1 + ... + x_n) and never touches the root ring.
+The oracles here do: e_j of the n^2 root differences x_a - x_b, rewritten
+in c_1..c_n by elementary-basis descent, or evaluated at seeded rational
+roots.
 """
 
 import random
@@ -28,6 +29,8 @@ from projchar.qpoly import (
     make_ring,
 )
 
+from oracles import root_ring, root_vars
+
 
 def fraction_esp(values):
     es = [Fraction(1)] + [Fraction(0)] * len(values)
@@ -41,9 +44,9 @@ def fraction_esp(values):
 def root_ring_end_esp(n):
     """e_0..e_{n^2} of the root differences, computed in the root ring."""
     ring = chern_ring(n)
-    gens = [RationalPoly.gen(ring.root_ring, v) for v in ring.root_vars]
+    gens = [RationalPoly.gen(root_ring(ring), v) for v in root_vars(ring)]
     roots = [a - b for a in gens for b in gens]
-    return elementary_symmetric_all(roots, ring.root_ring)
+    return elementary_symmetric_all(roots, root_ring(ring))
 
 
 SMALL = [(n, j) for n in range(1, 5) for j in range(1, n * n + 1)]
@@ -54,7 +57,7 @@ class TestAgainstRootRing:
     def test_end_chern_matches_elementary_descent(self, n, j):
         ring = chern_ring(n)
         expected = express_in_elementary(
-            root_ring_end_esp(n)[j], ring.root_vars, target_vars=ring.chern_vars
+            root_ring_end_esp(n)[j], root_vars(ring), target_vars=ring.chern_vars
         )
         got = end_chern(n, j).poly
         assert got.terms == expected.terms
@@ -105,7 +108,7 @@ class TestLoudFailure:
         projclass._end_c_poly.cache_clear()
 
     def test_corrupt_power_sum_is_caught(self, monkeypatch, fresh_caches):
-        honest = projclass._traceless_power_sums
+        honest = projclass._y_power_sums
 
         def corrupt(n):
             p = honest(n)
@@ -113,7 +116,7 @@ class TestLoudFailure:
             p[4] = p[4] + z2**2
             return p
 
-        monkeypatch.setattr(projclass, "_traceless_power_sums", corrupt)
+        monkeypatch.setattr(projclass, "_y_power_sums", corrupt)
         with pytest.raises(RuntimeError) as info:
             end_in_a(3, 2)
         message = str(info.value)

@@ -33,7 +33,14 @@ from projchar.qpoly import (
 )
 from projchar.univdet import ParabolicDatum, ParabolicPoint
 
-from oracles import elementary_symmetric, embedded, expand_to_roots, span_witness, y_roots
+from oracles import (
+    elementary_symmetric,
+    embedded,
+    expand_to_roots,
+    root_vars,
+    span_witness,
+    y_roots,
+)
 
 
 def z_monomial_c_poly(ring, exps):
@@ -48,9 +55,9 @@ def shift_oracle(ring, poly):
     """Invariance decided on the roots: expand, apply x_i -> x_i + d, compare."""
     roots = expand_to_roots(ring, poly)
     d = Variable("d")
-    big = make_ring(*ring.root_vars, d)
+    big = make_ring(*root_vars(ring), d)
     dp = RationalPoly.gen(big, d)
-    bindings = {v: RationalPoly.gen(big, v) + dp for v in ring.root_vars}
+    bindings = {v: RationalPoly.gen(big, v) + dp for v in root_vars(ring)}
     return roots.substitute(bindings, target_ring=big) == embedded(roots, big)
 
 
@@ -78,7 +85,7 @@ def seeded_invariant(rng, ring, weight):
 class TestRingLayout:
     def test_variable_names_and_weights(self):
         ring = chern_ring(3)
-        assert [v.name for v in ring.root_vars] == ["x1", "x2", "x3"]
+        assert [v.name for v in root_vars(ring)] == ["x1", "x2", "x3"]
         assert [(v.name, v.weight) for v in ring.chern_vars] == [
             ("c1", 1),
             ("c2", 2),
@@ -207,6 +214,26 @@ class TestZBasis:
         assert calls == [6]
         assert got == [z_basis(chern_ring(6), k).poly for k in range(2, 7)]
 
+    def test_generators_are_integral_closed_forms(self):
+        # z_k = sum_i C(n-i, k-i) (-1)^(k-i) n^i c1^(k-i) c_i with c_0 = 1,
+        # summed term by term: the i = 0 and i = 1 terms share the key c1^k
+        import math
+
+        for n in range(2, 9):
+            ring = chern_ring(n)
+            for k in range(2, n + 1):
+                pairs = []
+                for i in range(k + 1):
+                    exps = [0] * n
+                    exps[0] = k - i
+                    if i:
+                        exps[i - 1] += 1
+                    coef = math.comb(n - i, k - i) * (-1) ** (k - i) * n**i
+                    pairs.append((exps, coef))
+                got = z_basis(ring, k).poly
+                assert all(type(c) is int for c in got.terms.values()), (n, k)
+                assert got == RationalPoly(ring.c_ring, pairs)
+
     def test_weight_and_degree(self):
         expr = z_basis(chern_ring(4), 3)
         assert expr.weight == 3
@@ -251,10 +278,28 @@ class TestShiftInvariance:
         assert rewrite_in_z(ChernExpression(ring, z3 + c1**3, 3)) is None
         assert rewrite_in_z(ChernExpression(ring, c1**40, 40)) is None
 
+    def test_rewrite_substitutes_once(self, monkeypatch):
+        ring = chern_ring(4)
+        c1 = RationalPoly.gen(ring.c_ring, ring.chern_vars[0])
+        z2, z4 = z_basis(ring, 2).poly, z_basis(ring, 4).poly
+        original = RationalPoly.substitute
+        calls = []
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.ring)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(RationalPoly, "substitute", counted)
+        for poly, invariant in ((z2**2 - 3 * z4, True), (z4 + c1**4, False)):
+            calls.clear()
+            out = rewrite_in_z(ChernExpression(ring, poly, 4))
+            assert (out is not None) is invariant
+            assert calls == [ring.z_ring]
+
     def test_expand_to_roots_matches_elementary(self):
         ring = chern_ring(3)
         c2 = RationalPoly.gen(ring.c_ring, ring.chern_vars[1])
-        assert expand_to_roots(ring, c2) == elementary_symmetric(2, ring.root_vars)
+        assert expand_to_roots(ring, c2) == elementary_symmetric(2, root_vars(ring))
 
 
 class TestExpressInZ:
