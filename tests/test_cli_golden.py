@@ -56,6 +56,7 @@ INVOCATIONS = [
     ["zbasis", "-1", "2"],
     ["zbasis", "2", "1"],
     ["zbasis", "2", "3"],
+    ["zbasis", "12", "7"],
     ["lambda-p", "2", "2"],
     ["lambda-p", "3", "2"],
     ["lambda-p", "3", "3"],
@@ -66,6 +67,7 @@ INVOCATIONS = [
     ["aclass", "1"],
     ["aclass", "2"],
     ["aclass", "3"],
+    ["aclass", "6"],
     ["aclass", "3", "--set", "c1=0", "--set", "c2=0"],
     ["aclass", "3", "--set", "c2=1/2*c1^2", "--set", "c3=1*c1*c2"],
     ["aclass", "3", "--set", "c2=1*c1^2 + 1/2*c3"],
@@ -78,6 +80,7 @@ INVOCATIONS = [
     ["end-chern", "3", "3"],
     ["end-chern", "3", "6"],
     ["end-chern", "4", "4"],
+    ["end-chern", "5", "10"],
     ["end-chern", "0", "1"],
     ["end-chern", "2", "0"],
     ["end-chern", "2", "5"],
@@ -85,6 +88,7 @@ INVOCATIONS = [
     ["end-in-a", "3", "4"],
     ["end-in-a", "3", "6"],
     ["end-in-a", "4", "6"],
+    ["end-in-a", "5", "12"],
     ["end-in-a", "0", "1"],
     ["end-in-a", "2", "0"],
     ["end-in-a", "3", "10"],
@@ -99,6 +103,7 @@ INVOCATIONS = [
     ["invariance-check", "0", "1"],
     ["hom-flag", "1", "2", "2"],
     ["hom-flag", "2", "2", "3"],
+    ["hom-flag", "3", "4", "6"],
     ["hom-flag", "2", "3", "1"],
     ["hom-flag", "1", "1", "1"],
     ["hom-flag", "0", "2", "1"],
@@ -116,6 +121,7 @@ INVOCATIONS = [
     ["canonicality", "2", "1", "--count", "3"],
     ["canonicality", "2", "2", "--seed", "9", "--count", "2"],
     ["canonicality", "3", "1", "--seed", "4", "--count", "1"],
+    ["canonicality", "4", "3", "--seed", "2", "--count", "3"],
     ["canonicality", "2", "0", "--count", "2"],
     ["canonicality", "2", "1", "--count", "0"],
     ["canonicality", "0", "1"],
