@@ -77,8 +77,9 @@ def _cmd_lambda_p(args: argparse.Namespace) -> CommandOutput:
     data = projclass.lambda_p(args.n, args.k)
     lam = format_fraction(data.lam)
     p_text = data.P.to_text()
-    lower = "c1" if args.k == 2 else f"c1 and a2..a{args.k - 1}"
-    at = "c1" if args.k == 2 else f"c1, z2(c)..z{args.k - 1}(c)"
+    ends = [2] if args.k == 3 else [2, args.k - 1]
+    lower = "c1" if args.k == 2 else "c1 and " + "..".join(f"a{i}" for i in ends)
+    at = "c1" if args.k == 2 else "c1, " + "..".join(f"z{i}(c)" for i in ends)
     check = f"P({at}) + lambda*c{args.k} == z{args.k}(c)"
     return CommandOutput(
         {"lambda": lam, "P": p_text},

@@ -3,21 +3,21 @@
 Coefficients are exact rationals, an `int` when integral and a
 `fractions.Fraction` otherwise, so every operation is exact.  A polynomial
 is a sparse map from exponent vectors to nonzero coefficients over an
-explicit, ordered tuple of `Variable`s (its ring).  Terms are kept sorted
-by descending (weight, exponents), which makes the representation
-canonical: two polynomials are equal iff their rings and term maps
-coincide verbatim.
+explicit, ordered tuple of `Variable`s (its ring).  The representation is
+canonical as a map: two polynomials are equal iff their rings and term maps
+are equal.  Term order belongs to the text alone: `to_text` writes the
+terms by descending (weight, exponents).
 
 `SparseTerms` is the kernel shared by every sparse "key -> coefficient"
 type of the package: `RationalPoly` here and `SurfaceClass`, `ParamElement`
 and `KunnethClass` in `surfalg`.  It owns the canonical form (check each
-pair, sum equal keys, drop zeros, sort), the construction of results
-without that check, the text grammar ("0" or terms joined by " + "), the
-product loop, scalar coercion, +, -, negation, scalar *, ** by
-square-and-multiply, == and repr.  Each type supplies its key and
-coefficient check, its order key, the text of one term, the product of
-two terms (here the exponent sum), two one-line hooks and the names of the
-slots a result shares with its operand.
+pair, sum equal keys, drop zeros), the construction of results without
+that check, the term order and the text grammar ("0" or terms joined by
+" + " in that order), the product loop, scalar coercion, +, -, negation,
+scalar *, ** by square-and-multiply, == and repr.  Each type supplies its
+key and coefficient check, its order key, the text of one term, the
+product of two terms (here the exponent sum), two one-line hooks and the
+names of the slots a result shares with its operand.
 `substitute` is `evaluate` into the target ring.
 
 The module also carries `elementary_symmetric_all`, every e_k of a list
@@ -96,22 +96,29 @@ def parse_fraction(text: str) -> Fraction:
         raise ValueError(f"cannot parse rational {text!r}: {exc}") from None
 
 
+def _integral(value: Any) -> Any:
+    """An integral Fraction as an int; any other value, elements too, unchanged."""
+    whole = type(value) is Fraction and value.denominator == 1
+    return value.numerator if whole else value
+
+
 class SparseTerms:
     """Canonical form and arithmetic shared by the sparse "key -> coefficient" types.
 
     A subclass constructor stores its ring or algebra and sets `terms =
     self._canonical(terms)`: from a Mapping or a sequence of (key,
-    coefficient) pairs the kernel checks each pair, sums equal keys, drops
-    zeros and sorts.  Every +, -, * and ** result is built by `_make`
-    instead, which takes the space from its operand and trusts the keys the
-    kernel made itself: it sums nothing and checks nothing, it only drops
-    zeros and sorts.  The subclass supplies these hooks:
+    coefficient) pairs the kernel checks each pair, sums equal keys and
+    drops zeros.  Every +, -, * and ** result is built by `_make` instead,
+    which takes the space from its operand and trusts the keys the kernel
+    made itself: it sums nothing and checks nothing, it only drops zeros.
+    The order of `terms` is unspecified; only `_ordered_keys` orders them,
+    for text.  The subclass supplies these hooks:
 
     - `_entry(key, coef)`: the checked (key, coefficient) pair, or None
       for a term that is identically zero in the space; raises on a bad
       key or coefficient.  Only input from outside the kernel meets it;
     - `_order`: the sort key of a term key (None: the key itself), with
-      `_descending` choosing the direction;
+      `_descending` choosing the direction; only `_ordered_keys` calls it;
     - `_term_text(key, coef)`: the text of one term, for `to_text`;
     - `_times(k1, c1, k2, c2)`: the product of two terms as a (key, coef)
       pair, or None when it is zero in the space (`_entry` never sees the
@@ -137,10 +144,7 @@ class SparseTerms:
     @staticmethod
     def _exact(value: Any) -> int | Fraction:
         """A rational value as an int when integral, else as a Fraction."""
-        if type(value) is int:
-            return value
-        value = Fraction(value)
-        return value.numerator if value.denominator == 1 else value
+        return value if type(value) is int else _integral(Fraction(value))
 
     def _canonical(self, terms: Any) -> dict:
         """The canonical term map of a Mapping or a sequence of pairs."""
@@ -152,14 +156,11 @@ class SparseTerms:
             if checked is not None:
                 key, coef = checked
                 acc[key] = acc[key] + coef if key in acc else coef
-        return self._sorted(acc)
+        return {k: c for k, c in acc.items() if c}
 
-    def _sorted(self, acc: dict) -> dict:
-        """`acc` without its zero coefficients, in term order."""
-        keys = sorted(
-            (k for k, c in acc.items() if c), key=self._order, reverse=self._descending
-        )
-        return {k: acc[k] for k in keys}
+    def _ordered_keys(self) -> list:
+        """The keys of `terms` in term order (`_order`, reversed if `_descending`)."""
+        return sorted(self.terms, key=self._order, reverse=self._descending)
 
     @staticmethod
     def _exponents(exps: Iterable[int], size: int, space: str) -> Exponents:
@@ -176,7 +177,7 @@ class SparseTerms:
         new = object.__new__(type(self))
         for name in self._shared:
             setattr(new, name, getattr(self, name))
-        new.terms = self._sorted(acc)
+        new.terms = {k: c for k, c in acc.items() if c}
         return new
 
     def _mul(self, other: Any) -> Any:
@@ -192,10 +193,10 @@ class SparseTerms:
         return self._make(acc)
 
     def to_text(self) -> str:
-        """Canonical text: "0", or the terms' texts joined by ' + '."""
-        if not self.terms:
-            return "0"
-        return " + ".join(self._term_text(k, c) for k, c in self.terms.items())
+        """Canonical text: "0", or the terms' texts joined by ' + ' in term order."""
+        terms = self.terms
+        texts = [self._term_text(k, terms[k]) for k in self._ordered_keys()]
+        return " + ".join(texts) or "0"
 
     @staticmethod
     def _single_degree(
@@ -248,7 +249,7 @@ class SparseTerms:
     def __mul__(self, other: Any) -> Any:
         if isinstance(other, (int, Fraction)):
             q = self._exact(other)
-            return self._make({k: c * q for k, c in self.terms.items()})
+            return self._make({k: _integral(c * q) for k, c in self.terms.items()})
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
@@ -511,7 +512,7 @@ def first_difference(p: RationalPoly, q: RationalPoly) -> str:
     diff = p - q
     if diff.is_zero():
         return "none"
-    exps = next(iter(diff.terms))
+    exps = diff._ordered_keys()[0]
     mono = "*".join(diff._factors(exps)) or "1"
     return (
         f"{mono} ({format_fraction(p.coefficient(exps))}"

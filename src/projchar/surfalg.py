@@ -10,14 +10,14 @@ slant product contracts the surface leg against a homology class; the sign
 conventions are fixed here once and exercised by the tests.
 
 `SurfaceClass`, `ParamElement` and `KunnethClass` take their canonical
-form (sum equal keys, drop zeros, sort), `to_text`, the product loop, +,
--, scalar *, **, == and repr from the kernel `qpoly.SparseTerms`.  Each
-supplies only its key and coefficient check (for `ParamElement` also the
-truncation), its order key, the text of one term and the product of two
-terms: the `basis_mul` table for surface classes, exponent sums with the
-Koszul sign and the same truncation for parameter monomials, and both for
-Kunneth classes, whose right-hand coefficients are sign-twisted at most
-once each.
+form (sum equal keys, drop zeros), the term order of `to_text`, the
+product loop, +, -, scalar *, **, == and repr from the kernel
+`qpoly.SparseTerms`.  Each supplies only its key and coefficient check
+(for `ParamElement` also the truncation), its order key, the text of one
+term and the product of two terms: the `basis_mul` table for surface
+classes, exponent sums with the Koszul sign and the same truncation for
+parameter monomials, and both for Kunneth classes, whose right-hand
+coefficients are sign-twisted at most once each.
 
 The payoff is `canonicality_check`: twisting a rank-n Chern list by a
 degree-2 parameter class must leave both the degree-1 slants of c_1 and all

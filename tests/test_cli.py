@@ -208,6 +208,13 @@ class TestJsonSchema:
             "verified in the Chern-class ring: P(c1) + lambda*c2 == z2(c)"
         )
 
+    def test_lambda_p_audit_names_a_single_class_without_a_range(self, capsys):
+        _, out, _ = run(capsys, "lambda-p", "3", "3", "--json")
+        assert json.loads(out)["audit"][1:] == [
+            "P involves only c1 and a2",
+            "verified in the Chern-class ring: P(c1, z2(c)) + lambda*c3 == z3(c)",
+        ]
+
     def test_structural_integers_stay_integers(self, capsys, tmp_path):
         doc_path = tmp_path / "params.txt"
         doc_path.write_text(NEWSTEAD_DOC)

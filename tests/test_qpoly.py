@@ -78,8 +78,9 @@ class TestCanonicalForm:
 
     def test_terms_sorted_by_weight_then_exponents(self):
         p = RationalPoly(RING, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 2): 1})
-        # y has weight 2, ties x*? no: weights are 2, 1, 2 -> (0,1,0) vs (0,0,2)
-        assert list(p.terms) == [(0, 1, 0), (0, 0, 2), (1, 0, 0)]
+        # x, y and z^2 weigh 1, 2 and 2: y and z^2 lead, y first by exponents
+        assert p._ordered_keys() == [(0, 1, 0), (0, 0, 2), (1, 0, 0)]
+        assert p.to_text() == "1*y + 1*z^2 + 1*x"
 
     def test_equality_is_representation_equality(self):
         p = RationalPoly(RING, {(1, 0, 0): 1, (0, 0, 1): 2})

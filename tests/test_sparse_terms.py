@@ -9,6 +9,7 @@ from operator import add
 
 import pytest
 
+from projchar import projclass
 from projchar.qpoly import RationalPoly, SparseTerms, Variable, make_ring
 from projchar.surfalg import (
     KunnethClass,
@@ -202,7 +203,7 @@ class TestCanonicalForm:
     @pytest.mark.parametrize("kind", list(_canonical_cases()))
     @pytest.mark.parametrize("seed", range(5))
     def test_shuffled_pairs_match_the_summed_map(self, kind, seed):
-        build, keys, coef, _ = _canonical_cases()[kind]
+        build, keys, coef, documented_sort = _canonical_cases()[kind]
         rng = random.Random(seed)
         summed = {k: coef(rng) for k in rng.sample(keys, rng.randint(1, len(keys)))}
         pairs = []
@@ -215,7 +216,7 @@ class TestCanonicalForm:
         reference = build(summed)
         for element in (build(pairs), build(iter(pairs))):
             assert element.terms == reference.terms
-            assert list(element.terms) == list(reference.terms)
+            assert element._ordered_keys() == documented_sort(reference.terms)
             assert element.to_text() == reference.to_text()
 
     @pytest.mark.parametrize("kind", list(_canonical_cases()))
@@ -225,7 +226,10 @@ class TestCanonicalForm:
         rng = random.Random(50 + seed)
         element = build([(rng.choice(keys), coef(rng)) for _ in range(12)])
         assert all(c != 0 for c in element.terms.values())
-        assert list(element.terms) == documented_sort(element.terms)
+        in_order = documented_sort(element.terms)
+        assert element._ordered_keys() == in_order
+        texts = [element._term_text(k, element.terms[k]) for k in in_order]
+        assert element.to_text() == (" + ".join(texts) or "0")
 
     @pytest.mark.parametrize("kind", list(_canonical_cases()))
     def test_pairs_summing_to_zero_give_the_zero_element(self, kind):
@@ -239,6 +243,29 @@ class TestCanonicalForm:
         zero = build(pairs)
         assert zero.terms == {} and zero.is_zero() and not zero
         assert zero.to_text() == "0"
+
+
+class TestOrderOnlyInText:
+    """Arithmetic never orders terms: only text asks for the order hook."""
+
+    def test_order_hook_runs_only_when_text_is_made(self, monkeypatch):
+        calls = []
+        order = RationalPoly._order
+
+        def counted(self, exps):
+            calls.append(exps)
+            return order(self, exps)
+
+        monkeypatch.setattr(RationalPoly, "_order", counted)
+        ring = projclass.ChernRing(6)
+        c = [RationalPoly.gen(ring.c_ring, v) for v in ring.chern_vars]
+        projclass.twist(c, -c[0], RationalPoly.const(ring.c_ring, 1))
+        assert calls == []
+        projclass._end_classes.cache_clear()
+        end = projclass._end_classes(4)
+        assert calls == []
+        end[8].to_text()
+        assert sorted(calls) == sorted(end[8].terms)
 
 
 # -- the product ---------------------------------------------------------------
@@ -340,7 +367,7 @@ def _public(element, pairs):
 
 
 def _assert_same_terms(result, reference):
-    assert list(result.terms.items()) == list(reference.terms.items())
+    assert result.terms == reference.terms
     assert result.to_text() == reference.to_text()
 
 
@@ -390,13 +417,17 @@ class TestTrustedPath:
             ParamElement(algebra, {(1, 0, 0, 0): Fraction(-2), (0, 0, 1, 0): 7}),
         ]
         for p in elements:
-            results = (p, p + p, p * p, p**3 - p, p * Fraction(3), 2 * p, p * 0 + 1)
+            results = [p, p + p, p * p, p**3 - p, p * Fraction(3), 2 * p, p * 0 + 1]
+            results.append((3 * p) * Fraction(1, 3))
+            if isinstance(p, RationalPoly):
+                results.append((6 * p) / 3)
             for result in results:
                 assert result.terms, result
                 assert all(type(c) is int for c in result.terms.values()), result
         kunneth = KunnethClass.from_surface(algebra, elements[1]) + 1
-        for part in (kunneth**2).terms.values():
-            assert all(type(c) is int for c in part.terms.values())
+        for result in (kunneth**2, (3 * kunneth) * Fraction(1, 3)):
+            for part in result.terms.values():
+                assert all(type(c) is int for c in part.terms.values())
         texts = [p.to_text() for p in elements]
         assert texts == ["2*x + -3*y + 1", "3 + 2*alpha1 + 5*beta1", "-2*v1 + 7*u1"]
         assert elements[0].coefficient((1, 1)) == 0
