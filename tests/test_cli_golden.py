@@ -75,6 +75,10 @@ INVOCATIONS = [
     ["aclass", "2", "--set", "c5=1"],
     ["aclass", "2", "--set", "bad"],
     ["aclass", "0"],
+    [
+        "aclass", "5", "--set", "c1=-2*c1",
+        "--set", "c3=1*c1*c2 + 1/3*c3", "--set", "c5=1*c1^2*c3",
+    ],
     ["end-chern", "2", "2"],
     ["end-chern", "3", "2"],
     ["end-chern", "3", "3"],
