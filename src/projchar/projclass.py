@@ -311,6 +311,12 @@ def a_classes(
     integer powers and multiplication by Fraction; the value for c_i must be
     homogeneous of degree 2i when its degree is observable.  Missing
     trailing values are zero.  Rank 1 has no canonical classes.
+
+    Each a_k is z_k(c) read from the rank's `ChernRing`, whose every term
+    is an integer times c_1^a and at most one c_i (i >= 2) to the first
+    power.  The powers c_1^2..c_1^n are built once, by successive products,
+    and shared by all the z_k, so a call makes n(n-1)/2 products in the
+    coefficient ring: n-1 for the powers and one per term c_1^a * c_i.
     """
     if rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
@@ -325,9 +331,21 @@ def a_classes(
             raise ValueError(f"value for c{i} is {exc}") from None
         if deg is not None and deg != 2 * i:
             raise ValueError(f"value for c{i} has degree {deg}, expected {2 * i}")
-    ring = chern_ring(rank)
-    assignment = dict(zip(ring.chern_vars, values))
-    return [z.evaluate(assignment, zero=zero) for z in ring._z_in_c.values()]
+    c1_powers = [None, values[0]]
+    for _ in range(2, rank + 1):
+        c1_powers.append(c1_powers[-1] * values[0])
+    out = []
+    for z in chern_ring(rank)._z_in_c.values():
+        total = zero
+        for exps, coef in z.terms.items():
+            factor = c1_powers[exps[0]]
+            for value, e in zip(values[1:], exps[1:]):
+                if e:
+                    piece = value**e
+                    factor = piece if factor is None else factor * piece
+            total = total + coef * factor
+        out.append(total)
+    return out
 
 
 # -- endomorphism and Hom bundles -----------------------------------------------

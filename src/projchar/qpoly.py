@@ -1,7 +1,10 @@
 """Exact rational arithmetic on graded multivariate polynomials.
 
-Coefficients are exact rationals, an `int` when integral and a
-`fractions.Fraction` otherwise, so every operation is exact.  A polynomial
+Coefficients are exact rationals, `int` or `fractions.Fraction`, so every
+operation is exact.  Two paths store an integral coefficient as an `int`:
+construction (the public constructors) and products by a scalar.  Kernel
+`+` and `*` of two elements keep each coefficient as `+` returns it, so
+there an integral sum of `Fraction`s stays a `Fraction`.  A polynomial
 is a sparse map from exponent vectors to nonzero coefficients over an
 explicit, ordered tuple of `Variable`s (its ring).  The representation is
 canonical as a map: two polynomials are equal iff their rings and term maps
@@ -132,8 +135,11 @@ class SparseTerms:
 
     Coefficients need +, unary -, * by an int or Fraction and truth meaning
     "nonzero"; an element is false exactly when it is zero, so elements can
-    be coefficients.  Numeric coefficients are exact: an int when integral,
-    a Fraction otherwise.  Instances are immutable by convention.
+    be coefficients.  Numeric coefficients are exact, an int or a Fraction.
+    `_canonical` and scalar products store an integral one as an int; the
+    + and * of two elements keep what + returns, because normalising each
+    sum there would cost time on the hottest path.  Instances are immutable
+    by convention.
     """
 
     __slots__ = ()
@@ -147,7 +153,10 @@ class SparseTerms:
         return value if type(value) is int else _integral(Fraction(value))
 
     def _canonical(self, terms: Any) -> dict:
-        """The canonical term map of a Mapping or a sequence of pairs."""
+        """The canonical term map of a Mapping or a sequence of pairs.
+
+        An integral sum of Fractions is stored as an int.
+        """
         items = terms.items() if isinstance(terms, Mapping) else terms
         entry = self._entry
         acc: dict = {}
@@ -156,7 +165,7 @@ class SparseTerms:
             if checked is not None:
                 key, coef = checked
                 acc[key] = acc[key] + coef if key in acc else coef
-        return {k: c for k, c in acc.items() if c}
+        return {k: _integral(c) for k, c in acc.items() if c}
 
     def _ordered_keys(self) -> list:
         """The keys of `terms` in term order (`_order`, reversed if `_descending`)."""

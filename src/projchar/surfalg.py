@@ -17,7 +17,10 @@ product loop, +, -, scalar *, **, == and repr from the kernel
 term and the product of two terms: the `basis_mul` table for surface
 classes, exponent sums with the Koszul sign and the same truncation for
 parameter monomials, and both for Kunneth classes, whose right-hand
-coefficients are sign-twisted at most once each.
+coefficients are sign-twisted at most once each.  Each `ParameterAlgebra`
+keeps a table of the monomial products it has worked out, keyed by the
+ordered pair of exponent vectors, so a product of two parameter terms is
+one lookup and one coefficient product after its first use.
 
 The payoff is `canonicality_check`: twisting a rank-n Chern list by a
 degree-2 parameter class must leave both the degree-1 slants of c_1 and all
@@ -248,6 +251,12 @@ class ParameterAlgebra:
     Odd-degree generators anticommute and square to zero; even ones are
     central.  Monomials of degree above `max_degree` are treated as zero,
     which keeps power computations finite.
+
+    Those two rules (`_vanishes`) and `koszul_sign` give the product of two
+    monomials.  Each algebra object keeps every product it works out in
+    `_product_cache`, a dict from the ordered pair of exponent vectors to
+    (exponents, sign), or to None when the product vanishes.  It holds at
+    most one entry per ordered pair of monomials within the degree bound.
     """
 
     generators: tuple[tuple[str, int], ...]
@@ -280,6 +289,12 @@ class ParameterAlgebra:
     def _monomial_cache(self) -> dict[int, tuple[Exponents, ...]]:
         return {}
 
+    @cached_property
+    def _product_cache(
+        self,
+    ) -> dict[tuple[Exponents, Exponents], Optional[tuple[Exponents, int]]]:
+        return {}
+
     def monomial_degree(self, exps: Exponents) -> int:
         return sum(map(mul, self.degrees, exps))
 
@@ -297,6 +312,15 @@ class ParameterAlgebra:
         odd2 = [i for i, e in enumerate(e2) if e and self.odd_flags[i]]
         inversions = sum(1 for a in odd1 for b in odd2 if a > b)
         return -1 if inversions % 2 else 1
+
+    def _product(
+        self, e1: Exponents, e2: Exponents
+    ) -> Optional[tuple[Exponents, int]]:
+        """(exponents, Koszul sign) of e1 * e2, or None when it vanishes; kept."""
+        exps = tuple(map(add, e1, e2))
+        hit = None if self._vanishes(exps) else (exps, self.koszul_sign(e1, e2))
+        self._product_cache[e1, e2] = hit
+        return hit
 
     def monomials_of_degree(self, degree: int) -> tuple[Exponents, ...]:
         if degree < 0 or degree > self.max_degree:
@@ -395,11 +419,14 @@ class ParamElement(SparseTerms):
     def _times(
         self, e1: Exponents, c1: int | Fraction, e2: Exponents, c2: int | Fraction
     ) -> Optional[tuple[Exponents, int | Fraction]]:
-        algebra = self.algebra
-        exps = tuple(map(add, e1, e2))
-        if algebra._vanishes(exps):
+        try:
+            hit = self.algebra._product_cache[e1, e2]
+        except KeyError:
+            hit = self.algebra._product(e1, e2)
+        if hit is None:
             return None
-        return exps, algebra.koszul_sign(e1, e2) * c1 * c2
+        exps, sign = hit
+        return exps, sign * c1 * c2
 
     def _space(self) -> tuple[ParameterAlgebra]:
         return (self.algebra,)

@@ -1,9 +1,11 @@
 """Reference implementations that the tests check the library against.
 
 Each oracle takes the long way round where the library uses a closed
-form: the root ring x_1..x_n in place of the twist identity, and a general
+form: the root ring x_1..x_n in place of the twist identity, a general
 span search over products of End classes in place of the parity argument
-behind `surjectivity_witness`.  None of this is on a library path.
+behind `surjectivity_witness`, and a generic polynomial evaluation of each
+z_k(c) in place of the shared c_1 powers of `a_classes`.  None of this is
+on a library path.
 """
 
 from __future__ import annotations
@@ -80,6 +82,19 @@ def expand_to_roots(ring, poly):
     es = _root_esp(ring.rank)
     bindings = {v: es[i + 1] for i, v in enumerate(ring.chern_vars)}
     return poly.substitute(bindings, target_ring=root_ring(ring))
+
+
+def a_classes_by_evaluation(rank, chern_values, zero=Fraction(0)):
+    """a_2..a_rank as `RationalPoly.evaluate` of each z_k(c) at the values.
+
+    Every z_k is evaluated on its own, with its own powers of the values;
+    missing trailing values are zero.  The inputs are not checked.
+    """
+    ring = chern_ring(rank)
+    values = list(chern_values)
+    values += [zero] * (rank - len(values))
+    assignment = dict(zip(ring.chern_vars, values))
+    return [z.evaluate(assignment, zero=zero) for z in ring._z_in_c.values()]
 
 
 def span_witness(n):

@@ -1,6 +1,7 @@
 """Canonical classes of projectivized bundles: z-generators, reduction, End classes."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -31,9 +32,16 @@ from projchar.qpoly import (
     make_ring,
     parse_poly,
 )
+from projchar.surfalg import (
+    KunnethClass,
+    ParameterAlgebra,
+    SurfaceRing,
+    random_kunneth,
+)
 from projchar.univdet import ParabolicDatum, ParabolicPoint
 
 from oracles import (
+    a_classes_by_evaluation,
     elementary_symmetric,
     embedded,
     expand_to_roots,
@@ -41,6 +49,51 @@ from oracles import (
     span_witness,
     y_roots,
 )
+
+
+PARAM_GENS = (("v1", 1), ("v2", 1), ("u1", 2), ("u2", 2))
+
+
+def random_c_poly(rng, ring, weight):
+    """One to three random terms of the given weight in c_1..c_n."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        exps = [0] * ring.rank
+        remaining = weight
+        while remaining:
+            i = rng.randint(1, min(remaining, ring.rank))
+            exps[i - 1] += 1
+            remaining -= i
+        terms.append((exps, Fraction(rng.randint(-9, 9), rng.randint(1, 4))))
+    return RationalPoly(ring.c_ring, terms)
+
+
+class CountedRational:
+    """A rational that counts, in a shared tally, its products with its own kind.
+
+    Products by a plain int or Fraction are scalar multiples and are not
+    counted; a power counts its repeated products.
+    """
+
+    def __init__(self, value, tally):
+        self.value, self.tally = value, tally
+
+    def __add__(self, other):
+        return CountedRational(self.value + other.value, self.tally)
+
+    def __mul__(self, other):
+        if isinstance(other, CountedRational):
+            self.tally["products"] += 1
+            other = other.value
+        return CountedRational(self.value * other, self.tally)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent):
+        result = self
+        for _ in range(exponent - 1):
+            result = result * self
+        return result
 
 
 def z_monomial_c_poly(ring, exps):
@@ -457,6 +510,45 @@ class TestAClasses:
     def test_rank_bound(self):
         with pytest.raises(ValueError):
             a_classes(0, [])
+
+    @pytest.mark.parametrize("rank", range(1, 6))
+    @pytest.mark.parametrize("genus", range(4))
+    def test_matches_generic_evaluation(self, rank, genus):
+        rng = random.Random(100 * rank + genus)
+        ring = chern_ring(rank)
+        algebra = ParameterAlgebra(PARAM_GENS, 2 * rank + 2)
+        surface = SurfaceRing(genus)
+        kinds = {
+            "Fraction": (
+                lambda i: Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                Fraction(0),
+            ),
+            "RationalPoly": (
+                lambda i: random_c_poly(rng, ring, i),
+                RationalPoly.zero(ring.c_ring),
+            ),
+            "KunnethClass": (
+                lambda i: random_kunneth(rng, algebra, surface, 2 * i),
+                KunnethClass.zero(algebra, surface),
+            ),
+        }
+        for kind, (draw, zero) in kinds.items():
+            for given in range(rank + 1):  # the values of c_given+1.. are omitted
+                values = [draw(i) for i in range(1, given + 1)]
+                got = a_classes(rank, values, zero=zero)
+                want = a_classes_by_evaluation(rank, values, zero=zero)
+                assert got == want, (kind, rank, genus, given)
+                assert all(type(a) is type(zero) for a in got), kind
+
+    @pytest.mark.parametrize("rank", range(2, 8))
+    def test_one_shared_power_table(self, rank):
+        tally = Counter()
+        values = [CountedRational(Fraction(i, 3), tally) for i in range(1, rank + 1)]
+        zero = CountedRational(Fraction(0), tally)
+        got = a_classes(rank, values, zero=zero)
+        assert tally["products"] == rank * (rank - 1) // 2
+        plain = [Fraction(i, 3) for i in range(1, rank + 1)]
+        assert [a.value for a in got] == a_classes(rank, plain)
 
 
 class TestEndClasses:

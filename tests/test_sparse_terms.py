@@ -437,12 +437,23 @@ class TestTrustedPath:
         ring = make_ring(x)
         p = RationalPoly(ring, {(1,): Fraction(2, 4), (0,): Fraction(3)})
         assert p.terms == {(1,): Fraction(1, 2), (0,): 3}
-        assert [type(c) for c in p.terms.values()] == [Fraction, int]
+        assert {e: type(c) for e, c in p.terms.items()} == {(1,): Fraction, (0,): int}
         assert p.to_text() == "1/2*x + 3"
         assert (p * Fraction(1, 3)).to_text() == "1/6*x + 1"
         assert type(p.coefficient((1,))) is Fraction
         s = SurfaceClass.unit(SurfaceRing(1)) * Fraction(-3, 2)
         assert s.terms == {(0, 0, 0): Fraction(-3, 2)} and s.to_text() == "-3/2"
+
+    def test_constructed_integral_sums_are_ints(self):
+        half = Fraction(1, 2)
+        elements = [
+            RationalPoly(make_ring(Variable("x")), [((1,), half)] * 2),
+            SurfaceClass(SurfaceRing(1), [((1, 0, 1), half)] * 2),
+            ParamElement(ParameterAlgebra(GENS, 2), [((0, 0, 1, 0), half)] * 2),
+        ]
+        for p in elements:
+            (coef,) = p.terms.values()
+            assert coef == 1 and type(coef) is int, p
 
     def test_public_constructors_still_reject_bad_input(self):
         ring = make_ring(Variable("x"), Variable("y"))
@@ -457,6 +468,33 @@ class TestTrustedPath:
             SurfaceClass(SurfaceRing(1), {(1, 0, 2): 1})
         with pytest.raises(TypeError, match="part values must be ParamElement"):
             KunnethClass(algebra, SurfaceRing(1), {(0, 0, 0): 1})
+
+
+class TestProductMemo:
+    """Monomial products read from each algebra's memo match the direct rule."""
+
+    @pytest.mark.parametrize("max_degree", [1, 2, 3, 5])
+    def test_every_monomial_pair_matches_the_direct_rule(self, max_degree):
+        first, second = (ParameterAlgebra(GENS, max_degree) for _ in range(2))
+        assert first == second and first is not second
+        monos = [m for d in range(max_degree + 1) for m in first.monomials_of_degree(d)]
+        cases = Counter()
+        for _ in range(2):  # the second pass reads what the first one kept
+            for e1, e2 in itertools.product(monos, repeat=2):
+                a = ParamElement(first, {e1: 2})
+                b = ParamElement(second, {e2: Fraction(-1, 3)})
+                for x, y in ((a, b), (b, a)):
+                    _assert_same_terms(x * y, _public(x, _raw_product_pairs(x, y)))
+                total = first.monomial_degree(e1) + first.monomial_degree(e2)
+                cases["past the bound"] += total > max_degree
+                cases["odd square"] += any(
+                    x and y and odd for x, y, odd in zip(e1, e2, first.odd_flags)
+                )
+                cases["odd-odd inversion"] += first.koszul_sign(e1, e2) == -1
+        if max_degree >= 2:
+            assert all(cases.values()) and len(cases) == 3, cases
+        for algebra in (first, second):
+            assert len(algebra._product_cache) == len(monos) ** 2
 
 
 class TestNoRevalidation:
