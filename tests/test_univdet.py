@@ -1,5 +1,6 @@
 """Determinant line bundles: weights, coprimality conditions, weight-one words."""
 
+import io
 import random
 import sys
 import time
@@ -7,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from projchar.cli import main
 from projchar.selftest import random_moduli_params
 from projchar.univdet import (
     ConditionWitness,
@@ -96,6 +98,76 @@ class TestParabolicData:
         assert ps.point("y").label == "y"
         with pytest.raises(ValueError):
             ps.point("z")
+
+
+# one case per ModuliParams/ParabolicDatum rejection: (n, d, g), points, message
+REJECTIONS = [
+    ((0, 1, 0), [], "rank must be positive, got 0"),
+    ((2, 1, -1), [], "genus must be non-negative, got -1"),
+    ((2, 1, 0), [("x", (), ())], "'x': empty multiplicity sequence"),
+    (
+        (2, 1, 0),
+        [("x", (0, 2), ("0", "1/2"))],
+        "'x': multiplicities must be positive",
+    ),
+    (
+        (2, 1, 0),
+        [("x", (1, 2), ("0", "1/2"))],
+        "'x': multiplicities sum to 3, expected 2",
+    ),
+    (
+        (2, 1, 0),
+        [("x", (1, 1), ("0",))],
+        "'x': need one weight per multiplicity block",
+    ),
+    ((2, 1, 0), [("x", (1, 1), ("0", "1"))], "'x': weight 1 outside [0, 1)"),
+    (
+        (2, 1, 0),
+        [("x", (1, 1), ("1/2", "1/2"))],
+        "'x': weights must be strictly increasing",
+    ),
+    (
+        (2, 1, 0),
+        [("x", (1, 1), ("0", "1/2"))] * 2,
+        "duplicate point labels: ['x', 'x']",
+    ),
+]
+
+
+def rejection_document(scalars, points):
+    lines = [f"{key} = {value}" for key, value in zip("ndg", scalars)]
+    for label, ms, ws in points:
+        lines += [
+            f"point = {label}",
+            "multiplicities = " + " ".join(map(str, ms)),
+            "weights = " + " ".join(ws),
+        ]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("scalars, points, message", REJECTIONS)
+class TestRejectionMessages:
+    """Each rejection reads the same whether built, parsed or given to the CLI."""
+
+    def test_constructed(self, scalars, points, message):
+        with pytest.raises(ValueError) as info:
+            params(*scalars, points=[point(*p) for p in points]).validate()
+        assert str(info.value) == message
+
+    def test_parsed(self, scalars, points, message):
+        with pytest.raises(ValueError) as info:
+            parse_moduli_params(rejection_document(scalars, points))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("command", ["catalog", "universal-bundle"])
+    def test_cli_document_on_stdin(
+        self, capsys, monkeypatch, command, scalars, points, message
+    ):
+        document = rejection_document(scalars, points)
+        monkeypatch.setattr("sys.stdin", io.StringIO(document))
+        code = main([command, "-"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
 
 
 class TestWeights:
