@@ -9,6 +9,10 @@ sum of multiplicities), and the determinant of the fibre at x has weight
 n.  A universal bundle descends exactly when some monomial word in these
 generators has weight 1.  This module decides the three coprimality
 conditions that make such a word possible and constructs the word.
+
+A `ModuliParams` is validated once, when it is built (also by
+`dataclasses.replace`), so every function here trusts the object it is
+given; `ModuliParams.validate()` re-runs the same checks on demand.
 """
 
 from __future__ import annotations
@@ -91,12 +95,19 @@ class ParabolicDatum:
 
 @dataclass(frozen=True)
 class ModuliParams:
-    """Rank, degree, genus and parabolic datum of the moduli problem."""
+    """Rank, degree, genus and parabolic datum of the moduli problem.
+
+    It is validated once, when it is built, so one that exists is valid;
+    `validate()` re-runs the same checks on demand.
+    """
 
     n: int
     d: int
     g: int
     datum: ParabolicDatum = ParabolicDatum()
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if self.n < 1:
@@ -173,8 +184,11 @@ class LineBundleWord:
 
 
 def weight_of(word: LineBundleWord, params: ModuliParams) -> int:
-    """Total weight of a word; errors on unresolvable generators."""
-    params.validate()
+    """Total weight of a word; errors on unresolvable generators.
+
+    The parameters were validated when they were built and are not checked
+    again.
+    """
     return sum(f.unit_weight(params) * e for f, e in word.factors)
 
 
@@ -236,9 +250,9 @@ def check_conditions(params: ModuliParams) -> ConditionReport:
     """Decide which coprimality conditions hold, with the first witness of each.
 
     C1: gcd(n, d) = 1.  C2: some flag subbundle rank m with gcd(m, n) = 1.
-    C3: some flag subbundle rank m with gcd(m, n + d) = 1.
+    C3: some flag subbundle rank m with gcd(m, n + d) = 1.  The parameters
+    were validated when they were built and are not checked again.
     """
-    params.validate()
     found = (_witness(params, condition) for condition in CONDITIONS)
     return ConditionReport(tuple(w for w in found if w is not None))
 
@@ -287,11 +301,11 @@ def construct_xi(
     C2 with a*m + b*n = 1 yields detU[x,j]^a (x) DetU^(-b) (x) DetU(1)^b;
     C3 with a*m + b*(d+n) = 1 yields detU[x,j]^a (x) DetU(1)^b (x) detU[x]^(b*(g-1)).
     A witness (label, j) picks the flag for C2 or C3; C1 takes none.  The
-    constructed word is checked to have weight exactly 1.
+    constructed word is checked to have weight exactly 1.  The parameters
+    were validated when they were built and are not checked again.
     """
     if condition not in CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}")
-    params.validate()
     chosen = _witness(params, condition)
     if chosen is None:
         raise ValueError(f"condition {condition} is not satisfied by these parameters")
@@ -422,8 +436,6 @@ def parse_moduli_params(text: str) -> ModuliParams:
     flush()
     if len(scalars) < 3:
         raise ValueError("document must set n, d and g")
-    params = ModuliParams(
+    return ModuliParams(
         scalars["n"], scalars["d"], scalars["g"], ParabolicDatum(tuple(points))
     )
-    params.validate()
-    return params

@@ -4,6 +4,7 @@ import io
 import random
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -168,6 +169,12 @@ class TestRejectionMessages:
         code = main([command, "-"])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
+
+    def test_replaced_copy(self, scalars, points, message):
+        datum = ParabolicDatum(tuple(point(*p) for p in points))
+        with pytest.raises(ValueError) as info:
+            replace(params(2, 1), n=scalars[0], d=scalars[1], g=scalars[2], datum=datum)
+        assert str(info.value) == message
 
 
 class TestWeights:
@@ -365,8 +372,21 @@ class TestConstructXi:
             ModuliParams, "validate", lambda self: calls.append(1) or check(self)
         )
         ps = params(3, 1, g=2, points=[point(ms=(1, 2), ws=("0", "1/3"))])
-        construct_xi(ps, condition)
-        assert len(calls) == 1
+        assert len(calls) == 1  # when it is built
+        calls.clear()
+        report = check_conditions(ps)
+        assert report.satisfied == ("C1", "C2", "C3")
+        word = construct_xi(ps, condition)
+        found = report.witness_for(condition)
+        if condition == "C1":
+            with pytest.raises(ValueError, match="not C1"):
+                construct_xi(ps, condition, witness=("x", 1))
+        else:
+            witness = (found.point, found.flag_index)
+            assert construct_xi(ps, condition, witness=witness) == word
+        assert weight_of(word, ps) == 1
+        assert weight_audit(word, ps)[-1] == "total weight = 1"
+        assert calls == []
 
     def test_seeded_constructions_have_weight_one(self):
         rng = random.Random(77)
