@@ -317,6 +317,10 @@ def a_classes(
     power.  The powers c_1^2..c_1^n are built once, by successive products,
     and shared by all the z_k, so a call makes n(n-1)/2 products in the
     coefficient ring: n-1 for the powers and one per term c_1^a * c_i.
+
+    The checks above guard outside input.  A caller that has already checked
+    exactly `rank` values, as `surfalg.canonicality_check` has, evaluates
+    through the trusted entry `_a_classes_of` instead.
     """
     if rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
@@ -331,6 +335,11 @@ def a_classes(
             raise ValueError(f"value for c{i} is {exc}") from None
         if deg is not None and deg != 2 * i:
             raise ValueError(f"value for c{i} has degree {deg}, expected {2 * i}")
+    return _a_classes_of(rank, values, zero)
+
+
+def _a_classes_of(rank: int, values: Sequence[Any], zero: Any) -> list[Any]:
+    """a_2..a_rank at exactly `rank` Chern values, trusted to have degrees 2i."""
     c1_powers = [None, values[0]]
     for _ in range(2, rank + 1):
         c1_powers.append(c1_powers[-1] * values[0])

@@ -501,6 +501,25 @@ class TestCanonicality:
             canonicality_check(rank, iter(chern), f)
         assert calls == [1, 2, 3]
 
+    def test_each_chern_degree_is_read_once_per_check(self, monkeypatch):
+        calls = []
+        degree = KunnethClass.cohomological_degree
+        monkeypatch.setattr(
+            KunnethClass,
+            "cohomological_degree",
+            lambda self: calls.append(1) or degree(self),
+        )
+        rng = random.Random(36)
+        counts = []
+        for rank in (1, 2, 3, 4):
+            chern = random_chern_list(rng, self.alg, self.ring, rank)
+            f = random_param_element(rng, self.alg, 2)
+            calls.clear()
+            assert canonicality_check(rank, chern, f).passed
+            counts.append(len(calls))
+        # a twist keeps degrees, so neither list's a-classes re-read them
+        assert counts == [1, 2, 3, 4]
+
     def test_chern_list_is_checked_before_the_twist_class(self):
         u1 = KunnethClass.from_param(self.alg.gen("u1"), self.ring)
         v1 = self.alg.gen("v1")
