@@ -76,21 +76,24 @@ class ParabolicDatum:
         for p in self.points:
             if not p.multiplicities:
                 raise ValueError(f"{p.label!r}: empty multiplicity sequence")
-            if any(m < 1 for m in p.multiplicities):
+            if min(p.multiplicities) < 1:
                 raise ValueError(f"{p.label!r}: multiplicities must be positive")
             if sum(p.multiplicities) != rank:
                 raise ValueError(
                     f"{p.label!r}: multiplicities sum to {sum(p.multiplicities)},"
                     f" expected {rank}"
                 )
-            if len(p.weights) != len(p.multiplicities):
+            ws = p.weights
+            if len(ws) != len(p.multiplicities):
                 raise ValueError(f"{p.label!r}: need one weight per multiplicity block")
-            for w in p.weights:
-                if not 0 <= w < 1:
-                    raise ValueError(f"{p.label!r}: weight {w} outside [0, 1)")
-            for a, b in zip(p.weights, p.weights[1:]):
-                if a >= b:
-                    raise ValueError(f"{p.label!r}: weights must be strictly increasing")
+            increasing = all(a < b for a, b in zip(ws, ws[1:]))
+            # increasing weights lie in [0, 1) when their ends do; otherwise
+            # each is looked at, as a weight outside is reported first
+            if not (increasing and 0 <= ws[0] and ws[-1] < 1):
+                for w in ws:
+                    if not 0 <= w < 1:
+                        raise ValueError(f"{p.label!r}: weight {w} outside [0, 1)")
+                raise ValueError(f"{p.label!r}: weights must be strictly increasing")
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,21 @@ class TestParabolicData:
         with pytest.raises(ValueError, match="outside"):
             params(2, 1, points=[bad]).validate()
 
+    @pytest.mark.parametrize(
+        "ws, message",
+        [
+            (("1/2", "1/4", "1"), "'x': weight 1 outside [0, 1)"),
+            (("0", "1", "2"), "'x': weight 1 outside [0, 1)"),
+            (("-1/2", "1/2", "3/4"), "'x': weight -1/2 outside [0, 1)"),
+            (("1/2", "1/4", "3/4"), "'x': weights must be strictly increasing"),
+        ],
+    )
+    def test_a_weight_outside_is_reported_before_the_order(self, ws, message):
+        bad = point(ms=(1, 1, 1), ws=ws)
+        with pytest.raises(ValueError) as info:
+            params(3, 1, points=[bad])
+        assert str(info.value) == message
+
     def test_weight_count_matches_blocks(self):
         bad = point(ws=("0",))
         with pytest.raises(ValueError, match="one weight per"):
