@@ -318,7 +318,7 @@ def a_classes(
     and shared by all the z_k, so a call makes n(n-1)/2 products in the
     coefficient ring: n-1 for the powers and one per term c_1^a * c_i.
 
-    The checks above guard outside input.  A caller that has already checked
+    Every value's degree is checked here.  A caller that has already checked
     exactly `rank` values, as `surfalg.canonicality_check` has, evaluates
     through the trusted entry `_a_classes_of` instead.
     """
