@@ -392,11 +392,11 @@ class TestConstructXi:
         report = check_conditions(ps)
         assert report.satisfied == ("C1", "C2", "C3")
         word = construct_xi(ps, condition)
-        found = report.witness_for(condition)
         if condition == "C1":
             with pytest.raises(ValueError, match="not C1"):
                 construct_xi(ps, condition, witness=("x", 1))
         else:
+            found = report.witness_for(condition)
             witness = (found.point, found.flag_index)
             assert construct_xi(ps, condition, witness=witness) == word
         assert weight_of(word, ps) == 1
