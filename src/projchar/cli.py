@@ -61,8 +61,7 @@ def _read_document(path: str) -> str:
 
 def _cmd_zbasis(args: argparse.Namespace) -> CommandOutput:
     ring = projclass.chern_ring(args.n)
-    expr = projclass.z_basis(ring, args.k)
-    text = expr.poly.to_text()
+    text = projclass.z_basis(ring, args.k).to_text()
     return CommandOutput(
         text,
         [
@@ -128,8 +127,7 @@ def _cmd_aclass(args: argparse.Namespace) -> CommandOutput:
 
 
 def _cmd_end_chern(args: argparse.Namespace) -> CommandOutput:
-    expr = projclass.end_chern(args.n, args.j)
-    text = expr.poly.to_text()
+    text = projclass.end_chern(args.n, args.j).to_text()
     return CommandOutput(
         text,
         [
@@ -142,8 +140,7 @@ def _cmd_end_chern(args: argparse.Namespace) -> CommandOutput:
 
 
 def _cmd_end_in_a(args: argparse.Namespace) -> CommandOutput:
-    expr = projclass.end_in_a(args.n, args.j)
-    text = expr.poly.to_text()
+    text = projclass.end_in_a(args.n, args.j).to_text()
     return CommandOutput(
         text,
         [f"generators z2..z{args.n} with weight(zk) = k"],
@@ -157,7 +154,7 @@ def _cmd_invariance_check(args: argparse.Namespace) -> CommandOutput:
     audit = []
     rewrites = []
     for w, comp in poly.homogeneous_components().items():
-        rewrite = projclass.rewrite_in_z(projclass.ChernExpression(ring, comp, w))
+        rewrite = projclass.rewrite_in_z(ring, comp)
         ok = rewrite is not None
         audit.append(f"weight {w} component: {'invariant' if ok else 'not invariant'}")
         rewrites.append(rewrite)
@@ -166,10 +163,7 @@ def _cmd_invariance_check(args: argparse.Namespace) -> CommandOutput:
     invariant = all(r is not None for r in rewrites)
     z_text: Optional[str] = None
     if invariant:
-        z_poly = RationalPoly.zero(ring.z_ring)
-        for r in rewrites:
-            z_poly = z_poly + r.poly
-        z_text = z_poly.to_text()
+        z_text = sum(rewrites, RationalPoly.zero(ring.z_ring)).to_text()
     lines = [f"invariant: {'yes' if invariant else 'no'}"]
     if z_text is not None:
         lines.append(f"z-expression: {z_text}")

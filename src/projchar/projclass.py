@@ -10,10 +10,12 @@ One identity does the work: the twist x_i -> x_i + f sends c_k to
 sum_i C(n-i, k-i) * c_i * f^(k-i).  The roots n*x_i have classes n^i*c_i,
 and twisting them by f = -c_1 gives the y_i, so one twist over the
 integers gives every z_k(c), with z_1 = e_1(y) = 0.  Each rank's
-`ChernRing` keeps that one map.  A twist-invariant class p of weight w
-equals its value at c_1 = 0, c_k = z_k/n^k, which is
-n^-w * p(0, z_2, ..., z_n): its normal form in the z_k, read off the
-c_1-free terms of p.  p is invariant exactly when that normal form,
+`ChernRing` keeps that one map.  Classes are plain polynomials over
+`ChernRing.c_ring` or `ChernRing.z_ring`.  A twist-invariant class p equals
+its value at c_1 = 0, c_k = z_k/n^k: its normal form in the z_k, read off
+the c_1-free terms of p, each divided by n^w for its own weight w.  That is
+exact term by term, since twisting keeps every term's weight, so p need
+not be homogeneous.  p is invariant exactly when that normal form,
 expanded back through z_k(c), returns p.  Twisting the y_i back by +c_1
 gives a_k = P + lambda * c_k in closed form.
 
@@ -56,8 +58,6 @@ from .univdet import ParabolicDatum
 
 __all__ = [
     "ChernRing",
-    "ChernExpression",
-    "AClassExpression",
     "ReductionData",
     "chern_ring",
     "twist",
@@ -65,7 +65,6 @@ __all__ = [
     "is_shift_invariant",
     "rewrite_in_z",
     "express_in_z",
-    "express_c_poly_in_z",
     "lambda_p",
     "a_classes",
     "end_chern",
@@ -121,47 +120,6 @@ def chern_ring(rank: int) -> ChernRing:
 
 
 @dataclass(frozen=True)
-class ChernExpression:
-    """Homogeneous polynomial in c_1..c_n, graded by weight(c_i) = i."""
-
-    ring: ChernRing
-    poly: RationalPoly
-    weight: int
-
-    def __post_init__(self) -> None:
-        if self.poly.ring != self.ring.c_ring:
-            raise ValueError("polynomial is not over the Chern-class ring")
-        if self.weight < 0:
-            raise ValueError("weight must be non-negative")
-        w = self.poly.homogeneous_weight()
-        if w is not None and w != self.weight:
-            raise ValueError(f"polynomial has weight {w}, declared {self.weight}")
-
-    def to_text(self) -> str:
-        return self.poly.to_text()
-
-
-@dataclass(frozen=True)
-class AClassExpression:
-    """Polynomial in the canonical generators z_2..z_n, homogeneous by weight."""
-
-    ring: ChernRing
-    poly: RationalPoly
-
-    def __post_init__(self) -> None:
-        if self.poly.ring != self.ring.z_ring:
-            raise ValueError("polynomial is not over the z-generator ring")
-        self.poly.homogeneous_weight()  # raises if mixed
-
-    @property
-    def weight(self) -> int | None:
-        return self.poly.homogeneous_weight()
-
-    def to_text(self) -> str:
-        return self.poly.to_text()
-
-
-@dataclass(frozen=True)
 class ReductionData:
     """Reduction identity a_k = P + lambda * c_k for rank n.
 
@@ -198,56 +156,53 @@ def twist(values: Sequence[Any], f: Any, one: Any) -> list[Any]:
     return out
 
 
-def z_basis(ring: ChernRing, k: int) -> ChernExpression:
+def z_basis(ring: ChernRing, k: int) -> RationalPoly:
     """The k-th canonical generator e_k(y), rewritten in c_1..c_n (weight k)."""
     if not 2 <= k <= ring.rank:
         raise ValueError(f"k must satisfy 2 <= k <= {ring.rank}, got {k}")
-    return ChernExpression(ring, ring._z_in_c[ring.z_vars[k - 2]], k)
+    return ring._z_in_c[ring.z_vars[k - 2]]
 
 
-def rewrite_in_z(expr: ChernExpression) -> AClassExpression | None:
+def rewrite_in_z(ring: ChernRing, poly: RationalPoly) -> RationalPoly | None:
     """The class in the canonical z-generators, or None if it is not twist-invariant.
 
-    A twist-invariant class of weight w equals its value at c_1 = 0,
-    c_k = z_k/n^k, and that value is n^-w * p(0, z_2, ..., z_n): the
-    c_1-free terms of the class, read as z-monomials and divided by n^w.
-    Every polynomial in the z_k is invariant, so the class is invariant
-    exactly when this normal form expanded back through z_k(c) gives the
-    class again.
+    A twist-invariant class equals its value at c_1 = 0, c_k = z_k/n^k: each
+    c_1-free term of weight w, read as a z-monomial and divided by n^w.
+    Twisting keeps every term's weight, so this normal form is exact term by
+    term and the class need not be homogeneous.  Every polynomial in the z_k
+    is invariant, so the class is invariant exactly when this normal form
+    expanded back through z_k(c) gives the class again.
     """
-    ring = expr.ring
-    scale = ring.rank**expr.weight
+    if poly.ring != ring.c_ring:
+        raise ValueError("polynomial is not over the Chern-class ring")
+    n = ring.rank
     q = RationalPoly(
         ring.z_ring,
-        {e[1:]: Fraction(c, scale) for e, c in expr.poly.terms.items() if not e[0]},
+        {
+            e[1:]: Fraction(c, n ** poly.term_weight(e))
+            for e, c in poly.terms.items()
+            if not e[0]
+        },
     )
-    if q.substitute(ring._z_in_c, target_ring=ring.c_ring) != expr.poly:
+    if q.substitute(ring._z_in_c, target_ring=ring.c_ring) != poly:
         return None
-    return AClassExpression(ring, q)
+    return q
 
 
-def is_shift_invariant(expr: ChernExpression) -> bool:
+def is_shift_invariant(ring: ChernRing, poly: RationalPoly) -> bool:
     """True iff the class is unchanged by twisting with a formal line bundle."""
-    return rewrite_in_z(expr) is not None
+    return rewrite_in_z(ring, poly) is not None
 
 
-def express_in_z(expr: ChernExpression) -> AClassExpression:
+def express_in_z(ring: ChernRing, poly: RationalPoly) -> RationalPoly:
     """Rewrite a shift-invariant class in the canonical z-generators.
 
     The rewrite is the twist normal form of `rewrite_in_z`, checked by
     expanding it back; a class that fails that check is not invariant.
     """
-    out = rewrite_in_z(expr)
+    out = rewrite_in_z(ring, poly)
     if out is None:
         raise ValueError("expression is not shift-invariant")
-    return out
-
-
-def express_c_poly_in_z(ring: ChernRing, poly: RationalPoly) -> RationalPoly:
-    """Per-weight z-rewrite of a possibly inhomogeneous shift-invariant polynomial."""
-    out = RationalPoly.zero(ring.z_ring)
-    for w, comp in poly.homogeneous_components().items():
-        out = out + express_in_z(ChernExpression(ring, comp, w)).poly
     return out
 
 
@@ -258,7 +213,6 @@ def _a_var(i: int) -> Variable:
     return Variable(f"a{i}", i)
 
 
-@lru_cache(maxsize=None)
 def lambda_p(n: int, k: int) -> ReductionData:
     """Reduction data (lambda, P) with e_k(y) = P(c_1, a_2..a_{k-1}) + lambda*c_k.
 
@@ -444,23 +398,19 @@ def _end_ring(n: int, j: int) -> ChernRing:
     return ring
 
 
-@lru_cache(maxsize=None)
-def _end_c_poly(n: int, j: int) -> RationalPoly:
-    ring = chern_ring(n)
-    return _end_classes(n)[j].substitute(ring._z_in_c, target_ring=ring.c_ring)
-
-
-def end_chern(n: int, j: int) -> ChernExpression:
+def end_chern(n: int, j: int) -> RationalPoly:
     """c_j of the endomorphism bundle: e_j of the n^2 differences x_a - x_b.
 
     It is the class of `end_in_a` expanded once through z_k(c).
     """
-    return ChernExpression(_end_ring(n, j), _end_c_poly(n, j), j)
+    ring = _end_ring(n, j)
+    return _end_classes(n)[j].substitute(ring._z_in_c, target_ring=ring.c_ring)
 
 
-def end_in_a(n: int, j: int) -> AClassExpression:
+def end_in_a(n: int, j: int) -> RationalPoly:
     """The endomorphism class c_j(End) in the canonical z-generators."""
-    return AClassExpression(_end_ring(n, j), _end_classes(n)[j])
+    _end_ring(n, j)
+    return _end_classes(n)[j]
 
 
 def surjectivity_witness(n: int) -> bool:

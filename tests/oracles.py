@@ -107,7 +107,7 @@ def span_witness(n):
     ring = chern_ring(n)
     gens = []
     for j in range(1, n * n + 1):
-        poly = end_in_a(n, j).poly
+        poly = end_in_a(n, j)
         if not poly.is_zero():
             gens.append((j, poly))
     for k in range(2, n + 1):

@@ -363,7 +363,6 @@ class TestExitCodes:
 
     def test_rank_five_end_classes_are_bounded(self, capsys):
         projclass._end_classes.cache_clear()
-        projclass._end_c_poly.cache_clear()
         for command in ("end-in-a", "end-chern"):
             start = time.perf_counter()
             code, out, _ = run(capsys, command, "5", "4")

@@ -8,13 +8,10 @@ import pytest
 
 from projchar import projclass
 from projchar.projclass import (
-    AClassExpression,
-    ChernExpression,
     a_classes,
     chern_ring,
     end_chern,
     end_in_a,
-    express_c_poly_in_z,
     express_in_z,
     generator_catalog,
     hom_flag_chern,
@@ -100,7 +97,7 @@ def z_monomial_c_poly(ring, exps):
     out = RationalPoly.const(ring.c_ring, 1)
     for k, e in zip(range(2, ring.rank + 1), exps):
         if e:
-            out = out * z_basis(ring, k).poly ** e
+            out = out * z_basis(ring, k) ** e
     return out
 
 
@@ -150,26 +147,14 @@ class TestRingLayout:
         with pytest.raises(ValueError):
             chern_ring(0)
 
-    def test_expression_weight_checked(self):
-        ring = chern_ring(2)
-        c2 = RationalPoly.gen(ring.c_ring, ring.chern_vars[1])
-        with pytest.raises(ValueError):
-            ChernExpression(ring, c2, 1)
-        with pytest.raises(ValueError):
-            ChernExpression(ring, c2, -1)
-
     def test_expression_ring_checked(self):
         ring = chern_ring(2)
         p = RationalPoly.const(make_ring(Variable("t")), 1)
-        with pytest.raises(ValueError):
-            ChernExpression(ring, p, 0)
-
-    def test_a_class_expression_must_be_homogeneous(self):
-        ring = chern_ring(3)
-        z2 = RationalPoly.gen(ring.z_ring, ring.z_vars[0])
-        with pytest.raises(ValueError):
-            AClassExpression(ring, z2 + 1)
-        assert AClassExpression(ring, z2).weight == 2
+        message = "^polynomial is not over the Chern-class ring$"
+        with pytest.raises(ValueError, match=message):
+            rewrite_in_z(ring, p)
+        with pytest.raises(ValueError, match=message):
+            rewrite_in_z(ring, RationalPoly.const(chern_ring(3).c_ring, 1))
 
 
 class TestDifferenceRoots:
@@ -228,7 +213,7 @@ class TestZBasis:
                         * (-c[1]) ** (k - j)
                     )
                     expected = expected + term
-                assert z_basis(ring, k).poly == expected
+                assert z_basis(ring, k) == expected
 
     def test_twist_matches_shifted_roots(self):
         # numeric roots: e_k(x_i + f) against the closed form from e_k(x)
@@ -263,9 +248,9 @@ class TestZBasis:
 
         monkeypatch.setattr(projclass, "twist", counted)
         fresh = projclass.ChernRing(6)
-        got = [z_basis(fresh, k).poly for k in range(2, 7)]
+        got = [z_basis(fresh, k) for k in range(2, 7)]
         assert calls == [6]
-        assert got == [z_basis(chern_ring(6), k).poly for k in range(2, 7)]
+        assert got == [z_basis(chern_ring(6), k) for k in range(2, 7)]
 
     def test_generators_are_integral_closed_forms(self):
         # z_k = sum_i C(n-i, k-i) (-1)^(k-i) n^i c1^(k-i) c_i with c_0 = 1,
@@ -283,14 +268,14 @@ class TestZBasis:
                         exps[i - 1] += 1
                     coef = math.comb(n - i, k - i) * (-1) ** (k - i) * n**i
                     pairs.append((exps, coef))
-                got = z_basis(ring, k).poly
+                got = z_basis(ring, k)
                 assert all(type(c) is int for c in got.terms.values()), (n, k)
                 assert got == RationalPoly(ring.c_ring, pairs)
 
     def test_weight_and_degree(self):
-        expr = z_basis(chern_ring(4), 3)
-        assert expr.weight == 3
-        assert expr.poly.cohomological_degree() == 6
+        poly = z_basis(chern_ring(4), 3)
+        assert poly.homogeneous_weight() == 3
+        assert poly.cohomological_degree() == 6
 
 
 class TestShiftInvariance:
@@ -298,17 +283,17 @@ class TestShiftInvariance:
         for n in range(2, 5):
             ring = chern_ring(n)
             for k in range(2, n + 1):
-                assert is_shift_invariant(z_basis(ring, k))
+                assert is_shift_invariant(ring, z_basis(ring, k))
 
     def test_c1_is_not_invariant(self):
         ring = chern_ring(2)
         c1 = RationalPoly.gen(ring.c_ring, ring.chern_vars[0])
-        assert not is_shift_invariant(ChernExpression(ring, c1, 1))
+        assert not is_shift_invariant(ring, c1)
 
     def test_normalized_c2_combination(self):
         ring = chern_ring(2)
         p = parse_poly("1*c2 + -1/4*c1^2", ring.c_ring)
-        assert is_shift_invariant(ChernExpression(ring, p, 2))
+        assert is_shift_invariant(ring, p)
 
     def test_root_oracle_agrees_on_seeded_classes(self):
         rng = random.Random(11)
@@ -319,22 +304,29 @@ class TestShiftInvariance:
                 invariant = seeded_invariant(rng, ring, weight)
                 perturbed = invariant + rng.choice([-2, -1, 1, 3]) * c1**weight
                 for poly, expected in ((invariant, True), (perturbed, False)):
-                    expr = ChernExpression(ring, poly, weight)
                     assert shift_oracle(ring, poly) is expected
-                    assert is_shift_invariant(expr) is expected
+                    assert is_shift_invariant(ring, poly) is expected
 
     def test_rewrite_is_none_exactly_off_the_invariants(self):
         ring = chern_ring(3)
         c1 = RationalPoly.gen(ring.c_ring, ring.chern_vars[0])
-        z3 = z_basis(ring, 3).poly
-        assert rewrite_in_z(ChernExpression(ring, z3, 3)).to_text() == "1*z3"
-        assert rewrite_in_z(ChernExpression(ring, z3 + c1**3, 3)) is None
-        assert rewrite_in_z(ChernExpression(ring, c1**40, 40)) is None
+        z3 = z_basis(ring, 3)
+        assert rewrite_in_z(ring, z3).to_text() == "1*z3"
+        assert rewrite_in_z(ring, z3 + c1**3) is None
+        assert rewrite_in_z(ring, c1**40) is None
+
+    def test_inhomogeneous_class_with_one_non_invariant_component(self):
+        ring = chern_ring(3)
+        c1 = RationalPoly.gen(ring.c_ring, ring.chern_vars[0])
+        z2, z3 = z_basis(ring, 2), z_basis(ring, 3)
+        assert rewrite_in_z(ring, z2 + z3 + c1**3) is None
+        assert rewrite_in_z(ring, 5 + z2 + c1) is None
+        assert not is_shift_invariant(ring, z3 + c1 * z2)
 
     def test_rewrite_substitutes_once(self, monkeypatch):
         ring = chern_ring(4)
         c1 = RationalPoly.gen(ring.c_ring, ring.chern_vars[0])
-        z2, z4 = z_basis(ring, 2).poly, z_basis(ring, 4).poly
+        z2, z4 = z_basis(ring, 2), z_basis(ring, 4)
         original = RationalPoly.substitute
         calls = []
 
@@ -345,7 +337,7 @@ class TestShiftInvariance:
         monkeypatch.setattr(RationalPoly, "substitute", counted)
         for poly, invariant in ((z2**2 - 3 * z4, True), (z4 + c1**4, False)):
             calls.clear()
-            out = rewrite_in_z(ChernExpression(ring, poly, 4))
+            out = rewrite_in_z(ring, poly)
             assert (out is not None) is invariant
             assert calls == [ring.z_ring]
 
@@ -358,24 +350,23 @@ class TestShiftInvariance:
 class TestExpressInZ:
     def test_generator_roundtrips_to_itself(self):
         ring = chern_ring(3)
-        out = express_in_z(z_basis(ring, 3))
+        out = express_in_z(ring, z_basis(ring, 3))
         assert out.to_text() == "1*z3"
 
     def test_constant_passes_through(self):
         ring = chern_ring(3)
-        expr = ChernExpression(ring, RationalPoly.const(ring.c_ring, 5), 0)
-        assert express_in_z(expr).to_text() == "5"
+        assert express_in_z(ring, RationalPoly.const(ring.c_ring, 5)).to_text() == "5"
 
     def test_zero_maps_to_zero(self):
         ring = chern_ring(2)
-        out = express_in_z(ChernExpression(ring, RationalPoly.zero(ring.c_ring), 4))
-        assert out.poly.is_zero()
+        out = express_in_z(ring, RationalPoly.zero(ring.c_ring))
+        assert out.is_zero()
 
     def test_non_invariant_rejected(self):
         ring = chern_ring(2)
         c1 = RationalPoly.gen(ring.c_ring, ring.chern_vars[0])
         with pytest.raises(ValueError, match="shift-invariant"):
-            express_in_z(ChernExpression(ring, c1, 1))
+            express_in_z(ring, c1)
 
     def test_seeded_roundtrips(self):
         rng = random.Random(7)
@@ -395,14 +386,26 @@ class TestExpressInZ:
             c_poly = RationalPoly.zero(ring.c_ring)
             for exps, coef in chosen.items():
                 c_poly = c_poly + coef * z_monomial_c_poly(ring, exps)
-            out = express_in_z(ChernExpression(ring, c_poly, weight))
-            assert out.poly == RationalPoly(ring.z_ring, chosen)
+            out = express_in_z(ring, c_poly)
+            assert out == RationalPoly(ring.z_ring, chosen)
+
+    def test_inhomogeneous_rewrite_sums_its_components(self):
+        rng = random.Random(13)
+        for n in (3, 4):
+            ring = chern_ring(n)
+            parts = [seeded_invariant(rng, ring, w) for w in range(2, 6)]
+            total = sum(parts, RationalPoly.const(ring.c_ring, 7))
+            want = sum(
+                (express_in_z(ring, part) for part in parts),
+                RationalPoly.const(ring.z_ring, 7),
+            )
+            assert express_in_z(ring, total) == want
 
     def test_mixed_weights_handled_componentwise(self):
         ring = chern_ring(2)
-        z2 = z_basis(ring, 2).poly
+        z2 = z_basis(ring, 2)
         mixed = z2 + 3
-        out = express_c_poly_in_z(ring, mixed)
+        out = express_in_z(ring, mixed)
         assert out.to_text() == "1*z2 + 3"
 
 
@@ -449,12 +452,8 @@ class TestReduction:
             for k, (z, poly) in enumerate(ring._z_in_c.items(), start=2)
         }
         monkeypatch.setitem(ring.__dict__, "_z_in_c", perturbed)
-        lambda_p.cache_clear()
-        try:
-            with pytest.raises(RuntimeError) as info:
-                lambda_p(4, 2)
-        finally:
-            lambda_p.cache_clear()
+        with pytest.raises(RuntimeError) as info:
+            lambda_p(4, 2)
         message = str(info.value)
         assert "(n=4, k=2)" in message
         assert "first differing term c1^2 (-6 against -5)" in message
@@ -494,7 +493,7 @@ class TestAClasses:
         ring = chern_ring(3)
         gens = [RationalPoly.gen(ring.c_ring, v) for v in ring.chern_vars]
         res = a_classes(3, gens)
-        assert res == [z_basis(ring, 2).poly, z_basis(ring, 3).poly]
+        assert res == [z_basis(ring, 2), z_basis(ring, 3)]
 
     def test_too_many_values(self):
         with pytest.raises(ValueError):
@@ -553,16 +552,16 @@ class TestAClasses:
 
 class TestEndClasses:
     def test_rank_two_matches_z2(self):
-        assert end_chern(2, 2).poly == z_basis(chern_ring(2), 2).poly
+        assert end_chern(2, 2) == z_basis(chern_ring(2), 2)
 
     def test_odd_classes_vanish(self):
         for n in (2, 3):
             for j in range(1, n * n + 1, 2):
-                assert end_chern(n, j).poly.is_zero()
+                assert end_chern(n, j).is_zero()
 
     def test_beyond_nonzero_roots_vanishes(self):
         # n = 2 has two nonzero differences, so e_3 and e_4 collapse
-        assert end_chern(2, 4).poly.is_zero()
+        assert end_chern(2, 4).is_zero()
 
     def test_j_bounds(self):
         with pytest.raises(ValueError):
