@@ -22,7 +22,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 __all__ = [
     "ParabolicPoint",
@@ -345,7 +345,7 @@ def construct_xi(
                 (det_point(chosen.point), b * (g - 1)),
             )
         )
-    w = sum(f.unit_weight(params) * e for f, e in word.factors)
+    w = weight_of(word, params)
     if w != 1:
         raise RuntimeError(f"constructed word has weight {w}, expected 1")
     return word

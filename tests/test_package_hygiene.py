@@ -69,3 +69,27 @@ def test_package_exports_each_module_all_once():
     namespace = {}
     exec("from projchar import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(expected)
+
+
+# Bindings kept only so that perfbench/layers.py can wrap them at these module
+# attributes; nothing in the module calls them.  The change that retires their
+# tracer sites (ROADMAP item 1, a benchmark change) must shrink this list.
+TRACER_ONLY = {
+    "projclass.py": {"linear_solve", "express_in_elementary"},
+    "surfalg.py": {"a_classes"},
+}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = _tree(path)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    imported.add((alias.asname or alias.name).split(".")[0])
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported - used == TRACER_ONLY.get(path.name, set())

@@ -380,6 +380,16 @@ class TestConstructXi:
             construct_xi(ps, "C2", witness=("x", 1))
 
     @pytest.mark.parametrize("condition", ["C1", "C2", "C3"])
+    def test_word_is_weighed_by_weight_of(self, condition, monkeypatch):
+        import projchar.univdet as ud
+
+        ps = params(3, 1, g=2, points=[point(ms=(1, 2), ws=("0", "1/3"))])
+        monkeypatch.setattr(ud, "weight_of", lambda word, params: 2)
+        with pytest.raises(RuntimeError) as info:
+            construct_xi(ps, condition)
+        assert str(info.value) == "constructed word has weight 2, expected 1"
+
+    @pytest.mark.parametrize("condition", ["C1", "C2", "C3"])
     def test_parameters_are_validated_once(self, condition, monkeypatch):
         calls = []
         check = ModuliParams.validate
