@@ -4,13 +4,15 @@ Each oracle takes the long way round where the library uses a closed
 form: the root ring x_1..x_n in place of the twist identity, a general
 span search over products of End classes in place of the parity argument
 behind `surjectivity_witness`, and a generic polynomial evaluation of each
-z_k(c) in place of the shared c_1 powers of `a_classes`.  None of this is
-on a library path.
+z_k(c) in place of the shared c_1 powers of `a_classes`.  Newstead's closed
+form for the Betti numbers of the rank-2 moduli space is an outside bound
+on the generator catalog.  None of this is on a library path.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -145,3 +147,25 @@ def _graded_products(gens, weight, ring):
 
     rec(0, weight, RationalPoly.const(ring.z_ring, 1))
     return out
+
+
+def newstead_poincare_series(genus, top):
+    """Coefficients of t^0..t^top in the Poincare series of N_0(2, 1).
+
+    N_0(2, 1) is the moduli space of stable rank-2 bundles of fixed odd
+    determinant on a curve of the given genus.  Newstead's closed form is
+    P_t = ((1+t^3)^(2g) - t^(2g) (1+t)^(2g)) / ((1-t^2)(1-t^4)), expanded
+    here as an exact integer series: the numerator, then one geometric
+    series per factor of the denominator.
+    """
+    g2 = 2 * genus
+    series = [0] * (top + 1)
+    for i in range(g2 + 1):
+        if 3 * i <= top:
+            series[3 * i] += math.comb(g2, i)
+        if g2 + i <= top:
+            series[g2 + i] -= math.comb(g2, i)
+    for step in (2, 4):  # multiply by 1/(1 - t^step)
+        for d in range(step, top + 1):
+            series[d] += series[d - step]
+    return series
