@@ -100,7 +100,7 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def _integral(value: Any) -> Any:
-    """An integral Fraction as an int; any other value, elements too, unchanged."""
+    """An integral Fraction as an int; any other value unchanged."""
     whole = type(value) is Fraction and value.denominator == 1
     return value.numerator if whole else value
 
@@ -133,13 +133,10 @@ class SparseTerms:
     - `_scalar(value)`: an int or Fraction embedded as a constant, its
       coefficient passed through `_exact`.
 
-    Coefficients need +, unary -, * by an int or Fraction and truth meaning
-    "nonzero"; an element is false exactly when it is zero, so elements can
-    be coefficients.  Numeric coefficients are exact, an int or a Fraction.
-    `_canonical` and scalar products store an integral one as an int; the
-    + and * of two elements keep what + returns, because normalising each
-    sum there would cost time on the hottest path.  Instances are immutable
-    by convention.
+    Coefficients are exact, an int or a Fraction.  `_canonical` and scalar
+    products store an integral one as an int; the + and * of two elements
+    keep what + returns, because normalising each sum there would cost time
+    on the hottest path.  Instances are immutable by convention.
     """
 
     __slots__ = ()

@@ -3,24 +3,26 @@
 H*(X) of a closed oriented genus-g surface has basis 1, alpha_1..alpha_g,
 beta_1..beta_g (degree 1) and the orientation class omega (degree 2), with
 alpha_i * beta_i = omega = -beta_i * alpha_i and every other product of
-positive-degree generators zero.  Classes on (parameter space) x X are kept
-in Kunneth form: a map from surface basis elements to elements of a free
-graded-commutative parameter algebra, truncated above a degree bound.  The
-slant product contracts the surface leg against a homology class; the sign
-conventions are fixed here once and exercised by the tests.
+positive-degree generators zero.  Classes on (parameter space) x X are
+Kunneth classes: rational combinations of a surface basis element times a
+monomial of a free graded-commutative parameter algebra, truncated above a
+degree bound.  The slant product contracts the surface leg against a
+homology class; the sign conventions are fixed here once and exercised by
+the tests.
 
 `SurfaceClass`, `ParamElement` and `KunnethClass` take their canonical
-form (sum equal keys, drop zeros), the term order of `to_text`, the
-product loop, +, -, scalar *, **, == and repr from the kernel
-`qpoly.SparseTerms`.  Each supplies only its key and coefficient check
+form (sum equal keys, drop zeros), the product loop, +, -, scalar *, **,
+== and repr from the kernel `qpoly.SparseTerms`, and every coefficient is
+an int or a Fraction.  Each supplies only its key and coefficient check
 (for `ParamElement` also the truncation), its order key, the text of one
-term and the product of two terms: the `basis_mul` table for surface
-classes, exponent sums with the Koszul sign and the same truncation for
-parameter monomials, and both for Kunneth classes, whose right-hand
-coefficients are sign-twisted at most once each.  Each `ParameterAlgebra`
-keeps a table of the monomial products it has worked out, keyed by the
-ordered pair of exponent vectors, so a product of two parameter terms is
-one lookup and one coefficient product after its first use.
+term and the product of two terms.  A `KunnethClass` keys its terms by
+(surface key, parameter monomial), so the product of two terms is two
+table lookups and a sign: the surface ring's products of basis elements,
+worked out once per ring, and the parameter algebra's products of
+monomials, each kept in `_product_cache` (keyed by the ordered pair of
+exponent vectors) after its first use.  Its constructor takes, and `parts`
+gives back, one ParamElement per surface key, and its text is written by
+those parts.
 
 The payoff is `canonicality_check`: twisting a rank-n Chern list by a
 degree-2 parameter class must leave both the degree-1 slants of c_1 and all
@@ -35,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import add, mul
 from random import Random
-from typing import Any, Optional, Sequence
+from typing import Any, Iterator, Mapping, Optional, Sequence
 
 # a_classes has no caller here, but it stays bound: perfbench/layers.py wraps
 # it at its surfalg attribute, and a missing one fails `--trace 1` with a
@@ -132,6 +134,14 @@ class SurfaceRing:
             return None
         return (1, K_OMEGA) if k1[1] == 0 else (-1, K_OMEGA)
 
+    @cached_property
+    def _basis_products(
+        self,
+    ) -> dict[tuple[BasisKey, BasisKey], Optional[tuple[int, BasisKey]]]:
+        """`basis_mul` of every ordered pair of basis keys, worked out once."""
+        basis = self.basis
+        return {(k1, k2): self.basis_mul(k1, k2) for k1 in basis for k2 in basis}
+
 
 class SurfaceClass(SparseTerms):
     """Rational linear combination of surface basis elements."""
@@ -179,7 +189,7 @@ class SurfaceClass(SparseTerms):
     def _times(
         self, k1: BasisKey, c1: int | Fraction, k2: BasisKey, c2: int | Fraction
     ) -> Optional[tuple[BasisKey, int | Fraction]]:
-        hit = self.ring.basis_mul(k1, k2)
+        hit = self.ring._basis_products[k1, k2]
         if hit is None:
             return None
         sign, key = hit
@@ -371,7 +381,7 @@ class ParamElement(SparseTerms):
     `_times` returns None for a product of two terms that lands on one.
     """
 
-    __slots__ = ("algebra", "terms", "_odd_twist")
+    __slots__ = ("algebra", "terms")
     _mismatch = "parameter algebra mismatch"
     _shared = ("algebra",)
 
@@ -389,14 +399,6 @@ class ParamElement(SparseTerms):
         degree = self.algebra.monomial_degree
         terms = self.terms.items()
         return self._make({e: -c if degree(e) % 2 else c for e, c in terms})
-
-    def _odd_twisted(self) -> "ParamElement":
-        """`sign_twist(1)`, built once per element and kept."""
-        try:
-            return self._odd_twist
-        except AttributeError:
-            self._odd_twist = self.sign_twist(1)
-            return self._odd_twist
 
     def _entry(
         self, exps: Sequence[int], coef: Any
@@ -442,10 +444,15 @@ class ParamElement(SparseTerms):
 
 
 class KunnethClass(SparseTerms):
-    """Class on (parameter space) x (surface): map surface key -> ParamElement.
+    """Class on (parameter space) x (surface), as one flat sparse map.
 
-    `terms` holds that map, so the kernel's coefficients are here
-    ParamElements; `parts` is another name for it.
+    `terms` maps (surface key, parameter monomial) to an exact rational.
+    The constructor takes the parts, a map (or pairs) from surface key to
+    ParamElement, and checks each part; `parts` and `part()` give them back
+    as ParamElements.  The product of two terms is two lookups, the
+    surface ring's basis products and the algebra's monomial products,
+    and one Koszul sign: -1 when the left surface key and the right
+    monomial both have odd degree.
     """
 
     __slots__ = ("algebra", "ring", "terms")
@@ -460,7 +467,7 @@ class KunnethClass(SparseTerms):
     ) -> None:
         self.algebra = algebra
         self.ring = ring
-        self.terms = self._canonical(parts)
+        self.terms = self._canonical(self._flat(parts))
 
     @classmethod
     def zero(cls, algebra: ParameterAlgebra, ring: SurfaceRing) -> "KunnethClass":
@@ -485,61 +492,91 @@ class KunnethClass(SparseTerms):
     ) -> "KunnethClass":
         return cls.tensor(algebra.one(), surface)
 
+    def _flat(self, parts: Any) -> Iterator[tuple[tuple[BasisKey, Exponents], Any]]:
+        """The ((surface key, monomial), coefficient) pairs of the given parts.
+
+        Each part is checked: its surface key, its type and its algebra.
+        """
+        items = parts.items() if isinstance(parts, Mapping) else parts
+        for key, elt in items:
+            key = self.ring.check_key(tuple(key))
+            if not isinstance(elt, ParamElement):
+                raise TypeError("part values must be ParamElement")
+            if elt.algebra != self.algebra:
+                raise ValueError("parameter algebra mismatch in parts")
+            for exps, coef in elt.terms.items():
+                yield (key, exps), coef
+
     @property
     def parts(self) -> dict[BasisKey, ParamElement]:
-        return self.terms
+        """The nonzero parts, surface key -> ParamElement, built from the terms."""
+        grouped: dict[BasisKey, dict[Exponents, int | Fraction]] = {}
+        for (key, exps), coef in self.terms.items():
+            grouped.setdefault(key, {})[exps] = coef
+        zero = self.algebra.zero()
+        return {key: zero._make(terms) for key, terms in grouped.items()}
 
     def part(self, key: BasisKey) -> ParamElement:
         self.ring.check_key(key)
-        return self.terms.get(key, self.algebra.zero())
+        terms = self.terms.items()
+        return self.algebra.zero()._make({e: c for (k, e), c in terms if k == key})
 
     def cohomological_degree(self) -> int | None:
-        return self._single_degree(
-            key[0] + self.algebra.monomial_degree(e)
-            for key, elt in self.terms.items()
-            for e in elt.terms
-        )
+        degree = self.algebra.monomial_degree
+        return self._single_degree(key[0] + degree(e) for key, e in self.terms)
 
-    def _entry(
-        self, key: Sequence[int], elt: ParamElement
-    ) -> tuple[BasisKey, ParamElement]:
-        key = self.ring.check_key(tuple(key))
-        if not isinstance(elt, ParamElement):
-            raise TypeError("part values must be ParamElement")
-        if elt.algebra != self.algebra:
-            raise ValueError("parameter algebra mismatch in parts")
-        return key, elt
+    def _entry(self, key: Any, coef: Any) -> tuple[Any, Any]:
+        # `_flat` has checked the part each pair comes from
+        return key, coef
+
+    def to_text(self) -> str:
+        """The parts' texts, "(element) ⊗ name", in basis key order; "0" if none."""
+        parts = self.parts
+        return " + ".join(self._term_text(k, parts[k]) for k in sorted(parts)) or "0"
 
     def _term_text(self, key: BasisKey, elt: ParamElement) -> str:
         return f"({elt.to_text()}) ⊗ {self.ring.name(key)}"
 
     def _times(
-        self, k1: BasisKey, p1: ParamElement, k2: BasisKey, p2: ParamElement
-    ) -> Optional[tuple[BasisKey, ParamElement]]:
-        hit = self.ring.basis_mul(k1, k2)
-        if hit is None:
+        self,
+        k1: tuple[BasisKey, Exponents],
+        c1: int | Fraction,
+        k2: tuple[BasisKey, Exponents],
+        c2: int | Fraction,
+    ) -> Optional[tuple[tuple[BasisKey, Exponents], int | Fraction]]:
+        s1, e1 = k1
+        s2, e2 = k2
+        surface = self.ring._basis_products[s1, s2]
+        if surface is None:
             return None
-        sign, key = hit
-        # Koszul: the surface leg of the first factor moves past the
-        # parameter leg of the second; only a degree-1 leg changes signs
-        product = p1 * (p2._odd_twisted() if k1[0] == 1 else p2)
-        return key, product if sign == 1 else -product
+        algebra = self.algebra
+        try:
+            param = algebra._product_cache[e1, e2]
+        except KeyError:
+            param = algebra._product(e1, e2)
+        if param is None:
+            return None
+        sign, key = surface
+        exps, koszul = param
+        # the surface leg of the first factor moves past the parameter leg
+        # of the second
+        if s1[0] == 1 and algebra.monomial_degree(e2) % 2:
+            koszul = -koszul
+        return (key, exps), sign * koszul * c1 * c2
 
     def _space(self) -> tuple[ParameterAlgebra, SurfaceRing]:
         return (self.algebra, self.ring)
 
     def _scalar(self, value: Any) -> "KunnethClass":
-        return self._make({K_ONE: self.algebra.one() * value})
+        unit = (K_ONE, (0,) * len(self.algebra.generators))
+        return self._make({unit: self._exact(value)})
 
 
 def slant(a: KunnethClass, z: HomologyClass) -> ParamElement:
     """Contract the surface leg against z: (s (x) t)/z = (-1)^{|s||z|} <t,z> s."""
     if z.ring != a.ring:
         raise ValueError("surface ring mismatch")
-    elt = a.terms.get(z.key)
-    if elt is None:
-        return a.algebra.zero()
-    return elt.sign_twist(z.degree)
+    return a.part(z.key).sign_twist(z.degree)
 
 
 # -- twisting and canonicality ----------------------------------------------------
@@ -551,10 +588,10 @@ def _check_chern_list(rank: int, chern: Sequence[KunnethClass]) -> list[KunnethC
     values = list(chern)
     if len(values) != rank:
         raise ValueError(f"need exactly {rank} Chern classes, got {len(values)}")
+    if not all(isinstance(c, KunnethClass) for c in values):
+        raise TypeError("Chern values must be KunnethClass")
     algebra, ring = values[0].algebra, values[0].ring
     for i, c in enumerate(values, start=1):
-        if not isinstance(c, KunnethClass):
-            raise TypeError("Chern values must be KunnethClass")
         if c.algebra != algebra or c.ring != ring:
             raise ValueError("Chern classes live in different algebras")
         deg = c.cohomological_degree()
@@ -577,6 +614,10 @@ def twist_chern(
     """
     values = _check_chern_list(rank, chern)
     algebra, ring = values[0].algebra, values[0].ring
+    if not isinstance(f, ParamElement):
+        raise TypeError("twist class must be ParamElement")
+    if f.algebra != algebra:
+        raise ValueError("twist class lives in a different parameter algebra")
     fdeg = f.cohomological_degree()
     if fdeg is not None and fdeg != 2:
         raise ValueError(f"twist class has degree {fdeg}, expected 2")

@@ -3,8 +3,10 @@
 Each oracle takes the long way round where the library uses a closed
 form: the root ring x_1..x_n in place of the twist identity, a general
 span search over products of End classes in place of the parity argument
-behind `surjectivity_witness`, and a generic polynomial evaluation of each
-z_k(c) in place of the shared c_1 powers of `a_classes`.  Newstead's closed
+behind `surjectivity_witness`, a generic polynomial evaluation of each
+z_k(c) in place of the shared c_1 powers of `a_classes`, and a Kunneth
+product written out part by part, over ParamElements, in place of the flat
+(surface key, monomial) terms of `KunnethClass`.  Newstead's closed
 form for the Betti numbers of the rank-2 moduli space is an outside bound
 on the generator catalog.  None of this is on a library path.
 """
@@ -24,6 +26,7 @@ from projchar.qpoly import (
     linear_solve,
     make_ring,
 )
+from projchar.surfalg import KunnethClass
 
 
 def root_vars(ring):
@@ -147,6 +150,21 @@ def _graded_products(gens, weight, ring):
 
     rec(0, weight, RationalPoly.const(ring.z_ring, 1))
     return out
+
+
+def kunneth_product_by_parts(a, b):
+    """a * b from the parts: each pair of surface keys by `basis_mul`, then
+    the parameter parts multiplied with the Koszul sign of the left key's
+    degree against the right part, by `sign_twist`.
+    """
+    pairs = []
+    for k1, p1 in a.parts.items():
+        for k2, p2 in b.parts.items():
+            hit = a.ring.basis_mul(k1, k2)
+            if hit is not None:
+                sign, key = hit
+                pairs.append((key, p1 * p2.sign_twist(k1[0]) * sign))
+    return KunnethClass(a.algebra, a.ring, pairs)
 
 
 def newstead_poincare_series(genus, top):

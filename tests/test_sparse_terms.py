@@ -21,6 +21,8 @@ from projchar.surfalg import (
     random_param_element,
 )
 
+from oracles import kunneth_product_by_parts
+
 GENS = (("v1", 1), ("v2", 1), ("u1", 2), ("u2", 2))
 
 
@@ -199,6 +201,17 @@ def _split(rng, coef, parts):
     return [*pieces, rest]
 
 
+def _text_terms(element, in_order):
+    """The (key, coefficient) pairs that to_text writes, in the order it writes them.
+
+    A Kunneth class writes one term per part: its ParamElement, by basis key.
+    """
+    if isinstance(element, KunnethClass):
+        parts = element.parts
+        return [(key, parts[key]) for key in sorted(parts)]
+    return [(key, element.terms[key]) for key in in_order]
+
+
 class TestCanonicalForm:
     @pytest.mark.parametrize("kind", list(_canonical_cases()))
     @pytest.mark.parametrize("seed", range(5))
@@ -228,7 +241,7 @@ class TestCanonicalForm:
         assert all(c != 0 for c in element.terms.values())
         in_order = documented_sort(element.terms)
         assert element._ordered_keys() == in_order
-        texts = [element._term_text(k, element.terms[k]) for k in in_order]
+        texts = [element._term_text(k, c) for k, c in _text_terms(element, in_order)]
         assert element.to_text() == (" + ".join(texts) or "0")
 
     @pytest.mark.parametrize("kind", list(_canonical_cases()))
@@ -346,6 +359,8 @@ def _raw_product_pairs(a, b):
     Parameter monomials are summed with the Koszul sign and no truncation,
     so the public constructor, not `_times`, decides which ones vanish.
     """
+    if isinstance(a, KunnethClass):
+        return _pairs(kunneth_product_by_parts(a, b))
     if isinstance(a, ParamElement):
         sign = a.algebra.koszul_sign
         return [
@@ -359,6 +374,15 @@ def _raw_product_pairs(a, b):
         for k2, c2 in b.terms.items()
     )
     return [hit for hit in hits if hit is not None]
+
+
+def _pairs(element):
+    """The (key, coefficient) pairs the public constructor takes back.
+
+    For a Kunneth class these are its parts, (surface key, ParamElement).
+    """
+    source = element.parts if isinstance(element, KunnethClass) else element.terms
+    return list(source.items())
 
 
 def _public(element, pairs):
@@ -378,7 +402,7 @@ class TestTrustedPath:
         rng = random.Random(400 + seed)
         a, b = (_product_cases()[kind](rng) for _ in range(2))
         q = _fraction(rng) or Fraction(5, 3)
-        a_pairs, b_pairs = list(a.terms.items()), list(b.terms.items())
+        a_pairs, b_pairs = _pairs(a), _pairs(b)
         negated = [(k, -c) for k, c in b_pairs]
         _assert_same_terms(a + b, _public(a, a_pairs + b_pairs))
         _assert_same_terms(a - b, _public(a, a_pairs + negated))
@@ -426,7 +450,7 @@ class TestTrustedPath:
                 assert all(type(c) is int for c in result.terms.values()), result
         kunneth = KunnethClass.from_surface(algebra, elements[1]) + 1
         for result in (kunneth**2, (3 * kunneth) * Fraction(1, 3)):
-            for part in result.terms.values():
+            for part in result.parts.values():
                 assert all(type(c) is int for c in part.terms.values())
         texts = [p.to_text() for p in elements]
         assert texts == ["2*x + -3*y + 1", "3 + 2*alpha1 + 5*beta1", "-2*v1 + 7*u1"]
@@ -517,5 +541,5 @@ class TestNoRevalidation:
         assert calls == Counter(), calls
         assert all(type(r) is type(a) for r in results)
         # the wrapper is live: the public constructor still counts
-        _public(a, list(a.terms.items()))
+        _public(a, _pairs(a))
         assert calls[type(a).__name__] == len(a.terms)

@@ -1,9 +1,12 @@
 """Surface cohomology, graded parameter coefficients, slant products, twisting."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projchar import surfalg
 from projchar.surfalg import (
@@ -28,6 +31,8 @@ from projchar.surfalg import (
     slant,
     twist_chern,
 )
+
+from oracles import kunneth_product_by_parts
 
 GENS = (("v1", 1), ("v2", 1), ("u1", 2), ("u2", 2))
 
@@ -312,43 +317,127 @@ class TestKunnethClass:
             c = random_kunneth(rng, self.alg, self.ring, rng.randint(1, 3))
             assert (a * b) * c == a * (b * c)
 
-    def test_product_twists_each_right_hand_term_once(self, monkeypatch):
-        rng = random.Random(13)
-        keys = [K_ONE, k_alpha(1), k_beta(1), k_alpha(2), k_beta(2)]
-
-        def spread(degree):
-            parts = {
-                key: random_param_element(rng, self.alg, degree - key[0])
-                + self.alg.gen("v1")
-                for key in keys
-            }
-            return KunnethClass(self.alg, self.ring, parts)
-
-        a, b = spread(2), spread(3)
-        # the product written out pair by pair, before anything is counted
-        expected = KunnethClass.zero(self.alg, self.ring)
-        for k1, p1 in a.parts.items():
-            for k2, p2 in b.parts.items():
-                hit = self.ring.basis_mul(k1, k2)
-                if hit is not None:
-                    sign, key = hit
-                    part = p1 * p2.sign_twist(k1[0]) * sign
-                    expected = expected + KunnethClass(self.alg, self.ring, {key: part})
-        calls = []
-        original = ParamElement.sign_twist
-
-        def counted(self, parity):
-            calls.append(parity)
-            return original(self, parity)
-
-        monkeypatch.setattr(ParamElement, "sign_twist", counted)
-        assert a * b == expected
-        assert sum(1 for key in a.parts if key[0] == 1) == 4
-        assert 0 < len(calls) <= len(b.parts), calls
-
     def test_text(self):
         x = KunnethClass.tensor(self.alg.gen("u1"), SurfaceClass.alpha(self.ring, 1))
         assert x.to_text() == "(1*u1) ⊗ alpha1"
+
+
+# an odd generator of degree 3 as well as degree 1, so the Koszul sign of a
+# degree-1 surface key meets odd monomials of more than one degree
+GENERATOR_SETS = (GENS, (("v1", 1), ("u1", 2), ("w1", 3)))
+
+
+@st.composite
+def kunneth_inputs(draw):
+    """An algebra, a surface ring and two lists of (surface key, ParamElement)."""
+    algebra = ParameterAlgebra(
+        draw(st.sampled_from(GENERATOR_SETS)), draw(st.integers(1, 10))
+    )
+    ring = SurfaceRing(draw(st.integers(0, 3)))
+    monos = [
+        m for d in range(algebra.max_degree + 1) for m in algebra.monomials_of_degree(d)
+    ]
+    term = st.tuples(
+        st.sampled_from(ring.basis),
+        st.sampled_from(monos),
+        st.fractions(-3, 3, max_denominator=2),
+    )
+    pairs = st.lists(term, min_size=1, max_size=8).map(
+        lambda terms: [(key, ParamElement(algebra, {m: c})) for key, m, c in terms]
+    )
+    return algebra, ring, draw(pairs), draw(pairs)
+
+
+def summed_parts(algebra, ring, pairs):
+    """Every basis key's part: the sum of the ParamElements given for it."""
+    parts = {key: algebra.zero() for key in ring.basis}
+    for key, elt in pairs:
+        parts[key] = parts[key] + elt
+    return parts
+
+
+class TestFlatTerms:
+    """The flat (surface key, monomial) map against the same class by parts."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        kunneth_inputs(),
+        st.fractions(-3, 3, max_denominator=4),
+        st.integers(0, 4),
+    )
+    def test_operations_match_the_parts(self, inputs, q, exponent):
+        algebra, ring, a_pairs, b_pairs = inputs
+        a, b = (KunnethClass(algebra, ring, pairs) for pairs in (a_pairs, b_pairs))
+        pa, pb = (summed_parts(algebra, ring, pairs) for pairs in (a_pairs, b_pairs))
+        assert a.parts == {key: elt for key, elt in pa.items() if elt}
+        for key in ring.basis:
+            assert a.part(key) == pa[key]
+            z = HomologyClass(ring, key)
+            assert slant(a, z) == pa[key].sign_twist(z.degree)
+
+        def by_parts(parts):
+            return KunnethClass(algebra, ring, parts)
+
+        for result, expected in (
+            (a + b, by_parts({k: pa[k] + pb[k] for k in ring.basis})),
+            (a - b, by_parts({k: pa[k] - pb[k] for k in ring.basis})),
+            (q * a, by_parts({k: q * pa[k] for k in ring.basis})),
+            (a * q, by_parts({k: pa[k] * q for k in ring.basis})),
+            (a * b, kunneth_product_by_parts(a, b)),
+        ):
+            assert result == expected
+            assert result.to_text() == expected.to_text()
+        power = KunnethClass.unit(algebra, ring)
+        for _ in range(exponent):
+            power = kunneth_product_by_parts(power, a)
+        assert a**exponent == power
+
+    @pytest.mark.parametrize("generators", GENERATOR_SETS, ids=["v1v2u1u2", "v1u1w1"])
+    def test_every_term_pair_matches_the_product_by_parts(self, generators):
+        alg, ring = ParameterAlgebra(generators, 5), SurfaceRing(1)
+        monos = [m for d in range(6) for m in alg.monomials_of_degree(d)]
+        terms = [
+            KunnethClass(alg, ring, {key: ParamElement(alg, {m: 1})})
+            for key in ring.basis
+            for m in monos
+        ]
+        for a in terms:
+            for b in terms:
+                assert a * b == kunneth_product_by_parts(a, b), (a, b)
+
+    def test_arithmetic_builds_no_param_element_and_checks_no_key(self, monkeypatch):
+        alg, ring = algebra(), SurfaceRing(2)
+        rng = random.Random(13)
+        a, b = (
+            sum(
+                (random_kunneth(rng, alg, ring, d) for d in (1, 2, 3)),
+                KunnethClass.unit(alg, ring),
+            )
+            for _ in range(2)
+        )
+        assert not (a * b).is_zero()  # builds the ring's table of basis products
+        calls = Counter()
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for owner, name in (
+            (ParamElement, "__init__"),
+            (ParamElement, "_make"),
+            (SurfaceRing, "check_key"),
+        ):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, counted(name, original))
+        results = [a * b, a + b, 3 * a, a**3]
+        assert calls == Counter(), calls
+        assert all(results) and all(type(r) is KunnethClass for r in results)
+        # the counters are live: parts builds ParamElements, part checks its key
+        a.part(K_ONE)
+        assert calls["_make"] == calls["check_key"] == 1
 
 
 class TestSlant:
@@ -519,6 +608,21 @@ class TestCanonicality:
             counts.append(len(calls))
         # a twist keeps degrees, so neither list's a-classes re-read them
         assert counts == [1, 2, 3, 4]
+
+    def test_bad_inputs_raise_type_and_algebra_errors(self):
+        f = self.alg.gen("u1")
+        chern = random_chern_list(random.Random(37), self.alg, self.ring, 2)
+        with pytest.raises(TypeError, match="^Chern values must be KunnethClass$"):
+            canonicality_check(1, [3], f)
+        with pytest.raises(TypeError, match="^Chern values must be KunnethClass$"):
+            canonicality_check(2, [chern[0], 3], f)
+        with pytest.raises(TypeError, match="^twist class must be ParamElement$"):
+            twist_chern(2, chern, 3)
+        foreign = ParameterAlgebra(GENS, 9).gen("u1")
+        message = "^twist class lives in a different parameter algebra$"
+        for check in (twist_chern, canonicality_check):
+            with pytest.raises(ValueError, match=message):
+                check(2, chern, foreign)
 
     def test_chern_list_is_checked_before_the_twist_class(self):
         u1 = KunnethClass.from_param(self.alg.gen("u1"), self.ring)
