@@ -443,6 +443,10 @@ class ParamElement(SparseTerms):
 # -- Kunneth classes -------------------------------------------------------------
 
 
+# a Kunneth term key: (surface basis key, parameter monomial)
+TermKey = tuple[BasisKey, Exponents]
+
+
 class KunnethClass(SparseTerms):
     """Class on (parameter space) x (surface), as one flat sparse map.
 
@@ -492,7 +496,7 @@ class KunnethClass(SparseTerms):
     ) -> "KunnethClass":
         return cls.tensor(algebra.one(), surface)
 
-    def _flat(self, parts: Any) -> Iterator[tuple[tuple[BasisKey, Exponents], Any]]:
+    def _flat(self, parts: Any) -> Iterator[tuple[TermKey, int | Fraction]]:
         """The ((surface key, monomial), coefficient) pairs of the given parts.
 
         Each part is checked: its surface key, its type and its algebra.
@@ -525,7 +529,9 @@ class KunnethClass(SparseTerms):
         degree = self.algebra.monomial_degree
         return self._single_degree(key[0] + degree(e) for key, e in self.terms)
 
-    def _entry(self, key: Any, coef: Any) -> tuple[Any, Any]:
+    def _entry(
+        self, key: TermKey, coef: int | Fraction
+    ) -> tuple[TermKey, int | Fraction]:
         # `_flat` has checked the part each pair comes from
         return key, coef
 
@@ -538,12 +544,8 @@ class KunnethClass(SparseTerms):
         return f"({elt.to_text()}) ⊗ {self.ring.name(key)}"
 
     def _times(
-        self,
-        k1: tuple[BasisKey, Exponents],
-        c1: int | Fraction,
-        k2: tuple[BasisKey, Exponents],
-        c2: int | Fraction,
-    ) -> Optional[tuple[tuple[BasisKey, Exponents], int | Fraction]]:
+        self, k1: TermKey, c1: int | Fraction, k2: TermKey, c2: int | Fraction
+    ) -> Optional[tuple[TermKey, int | Fraction]]:
         s1, e1 = k1
         s2, e2 = k2
         surface = self.ring._basis_products[s1, s2]
