@@ -94,7 +94,7 @@ def _cmd_lambda_p(args: argparse.Namespace) -> CommandOutput:
 def _parse_assignments(
     rank: int, ring: projclass.ChernRing, raw: list[str]
 ) -> tuple[list[RationalPoly], list[str]]:
-    values = [RationalPoly.gen(ring.c_ring, v) for v in ring.chern_vars]
+    values = [RationalPoly.gen(ring.c_ring, v) for v in ring.c_ring]
     echo = []
     assigned = set()
     for item in raw:

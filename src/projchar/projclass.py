@@ -89,29 +89,21 @@ class ChernRing:
             raise ValueError(f"rank must be positive, got {self.rank}")
 
     @cached_property
-    def chern_vars(self) -> tuple[Variable, ...]:
+    def c_ring(self) -> tuple[Variable, ...]:
         return tuple(Variable(f"c{i}", i) for i in range(1, self.rank + 1))
 
     @cached_property
-    def z_vars(self) -> tuple[Variable, ...]:
-        return tuple(Variable(f"z{k}", k) for k in range(2, self.rank + 1))
-
-    @cached_property
-    def c_ring(self) -> tuple[Variable, ...]:
-        return make_ring(*self.chern_vars)
-
-    @cached_property
     def z_ring(self) -> tuple[Variable, ...]:
-        return make_ring(*self.z_vars)
+        return tuple(Variable(f"z{k}", k) for k in range(2, self.rank + 1))
 
     @cached_property
     def _z_in_c(self) -> Mapping[Variable, RationalPoly]:
         # the roots n*x_i have classes n^i*c_i; twisting them by -c1 gives y_i
         n, ring = self.rank, self.c_ring
-        c = [RationalPoly.gen(ring, v) for v in self.chern_vars]
+        c = [RationalPoly.gen(ring, v) for v in self.c_ring]
         scaled = [n**i * ci for i, ci in enumerate(c, 1)]
         one = RationalPoly.const(ring, 1)
-        return dict(zip(self.z_vars, twist(scaled, -c[0], one)[1:]))
+        return dict(zip(self.z_ring, twist(scaled, -c[0], one)[1:]))
 
 
 @lru_cache(maxsize=None)
@@ -160,7 +152,7 @@ def z_basis(ring: ChernRing, k: int) -> RationalPoly:
     """The k-th canonical generator e_k(y), rewritten in c_1..c_n (weight k)."""
     if not 2 <= k <= ring.rank:
         raise ValueError(f"k must satisfy 2 <= k <= {ring.rank}, got {k}")
-    return ring._z_in_c[ring.z_vars[k - 2]]
+    return ring._z_in_c[ring.z_ring[k - 2]]
 
 
 def rewrite_in_z(ring: ChernRing, poly: RationalPoly) -> RationalPoly | None:
@@ -224,7 +216,7 @@ def lambda_p(n: int, k: int) -> ReductionData:
     ring = chern_ring(n)  # rejects a non-positive rank before k is checked
     if not 2 <= k <= n:
         raise ValueError(f"k must satisfy 2 <= k <= {n}, got {k}")
-    c1_var = ring.chern_vars[0]
+    c1_var = ring.c_ring[0]
     a_vars = tuple(_a_var(i) for i in range(2, k))
     p_ring = make_ring(c1_var, *a_vars)
     c1 = RationalPoly.gen(p_ring, c1_var)
@@ -234,9 +226,9 @@ def lambda_p(n: int, k: int) -> ReductionData:
     lam = Fraction(n) ** k
     bindings = {c1_var: RationalPoly.gen(ring.c_ring, c1_var)}
     bindings.update(zip(a_vars, ring._z_in_c.values()))
-    ck = RationalPoly.gen(ring.c_ring, ring.chern_vars[k - 1])
+    ck = RationalPoly.gen(ring.c_ring, ring.c_ring[k - 1])
     lhs = P.substitute(bindings, target_ring=ring.c_ring) + lam * ck
-    zk = ring._z_in_c[ring.z_vars[k - 2]]
+    zk = ring._z_in_c[ring.z_ring[k - 2]]
     if lhs != zk:
         raise RuntimeError(
             f"reduction identity for (n={n}, k={k}) failed verification;"
@@ -249,9 +241,7 @@ def lambda_p(n: int, k: int) -> ReductionData:
 
 
 def _coefficient_degree(value: Any) -> int | None:
-    # plain numbers act as ungraded scalars; only graded values are checked
-    if isinstance(value, (int, Fraction)):
-        return None
+    # plain numbers have no degree and act as ungraded scalars
     probe = getattr(value, "cohomological_degree", None)
     return probe() if callable(probe) else None
 
@@ -263,8 +253,9 @@ def a_classes(
 
     Values may live in any commutative coefficient ring supporting +, *,
     integer powers and multiplication by Fraction; the value for c_i must be
-    homogeneous of degree 2i when its degree is observable.  Missing
-    trailing values are zero.  Rank 1 has no canonical classes.
+    homogeneous of degree 2i when it has a `cohomological_degree()`, as every
+    graded type of the package has.  Missing trailing values are zero.  Rank 1
+    has no canonical classes.
 
     Each a_k is z_k(c) read from the rank's `ChernRing`, whose every term
     is an integer times c_1^a and at most one c_i (i >= 2) to the first
@@ -323,7 +314,7 @@ def _y_power_sums(n: int) -> list[RationalPoly]:
     """
     ring = chern_ring(n)
     zero = RationalPoly.zero(ring.z_ring)
-    z = [RationalPoly.gen(ring.z_ring, v) for v in ring.z_vars]
+    z = [RationalPoly.gen(ring.z_ring, v) for v in ring.z_ring]
     e = [RationalPoly.const(ring.z_ring, 1), zero, *z]
     p = [RationalPoly.const(ring.z_ring, n)]
     for m in range(1, n * n + 1):
@@ -350,7 +341,7 @@ def _check_end_classes(n: int, es: Sequence[RationalPoly]) -> None:
     """
     roots = [Fraction(i * i) for i in range(n)]
     ys = [n * x - sum(roots) for x in roots]
-    z_values = dict(zip(chern_ring(n).z_vars, _fraction_esp(ys)[2:]))
+    z_values = dict(zip(chern_ring(n).z_ring, _fraction_esp(ys)[2:]))
     expected = _fraction_esp([a - b for a in roots for b in roots])
     for j in range(1, n * n + 1):
         got = es[j].evaluate(z_values)

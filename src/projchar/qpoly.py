@@ -21,7 +21,7 @@ scalar *, ** by square-and-multiply, == and repr.  Each type supplies its
 key and coefficient check, its order key, the text of one term, the
 product of two terms (here the exponent sum), two one-line hooks and the
 names of the slots a result shares with its operand.
-`substitute` is `evaluate` into the target ring.
+`substitute` is `evaluate` into a target ring that its caller names.
 
 The module also carries `elementary_symmetric_all`, every e_k of a list
 of ring elements in one pass, which the Hom classes of flags are built
@@ -36,10 +36,11 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any
 
 __all__ = [
     "Variable",
@@ -86,10 +87,7 @@ def make_ring(*variables: Variable) -> Ring:
 
 
 def format_fraction(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(Fraction(value))
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -345,13 +343,6 @@ class RationalPoly(SparseTerms):
         weights = map(self.term_weight, self.terms)
         return self._single_degree(weights, "term weights")
 
-    def is_homogeneous(self) -> bool:
-        try:
-            self.homogeneous_weight()
-        except ValueError:
-            return False
-        return True
-
     def homogeneous_components(self) -> dict[int, "RationalPoly"]:
         buckets: dict[int, dict[Exponents, int | Fraction]] = {}
         for exps, coef in self.terms.items():
@@ -400,28 +391,20 @@ class RationalPoly(SparseTerms):
     def substitute(
         self,
         bindings: Mapping[Variable, "RationalPoly"],
-        target_ring: Iterable[Variable] | None = None,
+        target_ring: Iterable[Variable],
     ) -> "RationalPoly":
         """Apply the ring map sending each bound variable to its image.
 
-        Unbound variables pass through unchanged and must therefore exist in
-        the target ring whenever they actually occur.  After these checks the
-        map is `evaluate` into the target ring, with every unbound variable
-        sent to its own generator.
+        Every image lies in the target ring.  Unbound variables pass through
+        unchanged and must therefore exist in the target ring whenever they
+        actually occur.  After these checks the map is `evaluate` into the
+        target ring, with every unbound variable sent to its own generator.
         """
         for v in bindings:
             if v not in self.ring:
                 raise ValueError(f"{v.name!r} is not a variable of the source ring")
-        image_rings = {img.ring for img in bindings.values()}
-        if target_ring is not None:
-            target = make_ring(*target_ring)
-        elif len(image_rings) == 1:
-            target = next(iter(image_rings))
-        elif not image_rings:
-            target = self.ring
-        else:
-            raise ValueError("images live in different rings; pass target_ring")
-        if any(r != target for r in image_rings):
+        target = make_ring(*target_ring)
+        if any(img.ring != target for img in bindings.values()):
             raise ValueError("image ring differs from the target ring")
         values = dict(bindings)
         for pos, v in enumerate(self.ring):
@@ -530,13 +513,9 @@ def first_difference(p: RationalPoly, q: RationalPoly) -> str:
 
 
 def elementary_symmetric_all(
-    values: Sequence[RationalPoly], ring: Iterable[Variable] | None = None
+    values: Sequence[RationalPoly], ring: Iterable[Variable]
 ) -> list[RationalPoly]:
-    """All e_0..e_m of the given ring elements, by the one-pass recurrence."""
-    if ring is None:
-        if not values:
-            raise ValueError("cannot infer the ring from an empty list")
-        ring = values[0].ring
+    """All e_0..e_m of the given elements of `ring`, by the one-pass recurrence."""
     ring = make_ring(*ring)
     es = [RationalPoly.const(ring, 1)]
     for v in values:

@@ -126,7 +126,7 @@ def _suite_projclass(c: _Checker) -> None:
     for trial in range(6):
         q = _random_poly(rng, ring3.z_ring, max_terms=3, max_exp=1)
         expanded = q.substitute(
-            {v: projclass.z_basis(ring3, k) for k, v in zip((2, 3), ring3.z_vars)},
+            {v: projclass.z_basis(ring3, k) for k, v in zip((2, 3), ring3.z_ring)},
             target_ring=ring3.c_ring,
         )
         back = projclass.express_in_z(ring3, expanded)

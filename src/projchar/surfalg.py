@@ -32,12 +32,13 @@ shifts by exactly rank * f.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add, mul
 from random import Random
-from typing import Any, Iterator, Mapping, Optional, Sequence
+from typing import Any, Optional
 
 # a_classes has no caller here, but it stays bound: perfbench/layers.py wraps
 # it at its surfalg attribute, and a missing one fails `--trace 1` with a
@@ -174,7 +175,7 @@ class SurfaceClass(SparseTerms):
     def omega_class(cls, ring: SurfaceRing) -> "SurfaceClass":
         return cls(ring, {K_OMEGA: 1})
 
-    def degree(self) -> int | None:
+    def cohomological_degree(self) -> int | None:
         return self._single_degree(k[0] for k in self.terms)
 
     def _entry(
@@ -307,6 +308,11 @@ class ParameterAlgebra:
         self,
     ) -> dict[tuple[Exponents, Exponents], Optional[tuple[Exponents, int]]]:
         return {}
+
+    @cached_property
+    def _zero(self) -> "ParamElement":
+        """The zero element, kept as the template that `_make` builds from."""
+        return ParamElement(self)
 
     def monomial_degree(self, exps: Exponents) -> int:
         return sum(map(mul, self.degrees, exps))
@@ -517,13 +523,13 @@ class KunnethClass(SparseTerms):
         grouped: dict[BasisKey, dict[Exponents, int | Fraction]] = {}
         for (key, exps), coef in self.terms.items():
             grouped.setdefault(key, {})[exps] = coef
-        zero = self.algebra.zero()
+        zero = self.algebra._zero
         return {key: zero._make(terms) for key, terms in grouped.items()}
 
     def part(self, key: BasisKey) -> ParamElement:
         self.ring.check_key(key)
         terms = self.terms.items()
-        return self.algebra.zero()._make({e: c for (k, e), c in terms if k == key})
+        return self.algebra._zero._make({e: c for (k, e), c in terms if k == key})
 
     def cohomological_degree(self) -> int | None:
         degree = self.algebra.monomial_degree
@@ -578,7 +584,10 @@ def slant(a: KunnethClass, z: HomologyClass) -> ParamElement:
     """Contract the surface leg against z: (s (x) t)/z = (-1)^{|s||z|} <t,z> s."""
     if z.ring != a.ring:
         raise ValueError("surface ring mismatch")
-    return a.part(z.key).sign_twist(z.degree)
+    key, odd, degree = z.key, z.degree % 2, a.algebra.monomial_degree
+    terms = a.terms.items()
+    slanted = {e: -c if odd and degree(e) % 2 else c for (k, e), c in terms if k == key}
+    return a.algebra._zero._make(slanted)
 
 
 # -- twisting and canonicality ----------------------------------------------------

@@ -8,7 +8,8 @@ at a marked point x has weight equal to that subbundle's rank (a tail
 sum of multiplicities), and the determinant of the fibre at x has weight
 n.  A universal bundle descends exactly when some monomial word in these
 generators has weight 1.  This module decides the three coprimality
-conditions that make such a word possible and constructs the word.
+conditions that make such a word possible and constructs the word from
+a Bezout identity a*u + b*v = 1, where a is u's inverse modulo |v|.
 
 A `ModuliParams` is validated once, when it is built (also by
 `dataclasses.replace`), so every function here trusts the object it is
@@ -40,7 +41,6 @@ __all__ = [
     "construct_xi",
     "weight_of",
     "weight_audit",
-    "extended_gcd",
     "bezout_min_nonneg",
     "parse_moduli_params",
 ]
@@ -260,30 +260,15 @@ def check_conditions(params: ModuliParams) -> ConditionReport:
     return ConditionReport(tuple(w for w in found if w is not None))
 
 
-def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def bezout_min_nonneg(u: int, v: int) -> tuple[int, int]:
     """Solve a*u + b*v = 1 with the smallest non-negative a (v = 0 permitting)."""
-    g, s, _ = extended_gcd(u, v)
+    g = math.gcd(u, v)
     if g != 1:
         raise ValueError(f"{u} and {v} are not coprime (gcd {g})")
     if v == 0:
-        a, b = s, 0  # u is +-1 here
+        a, b = u, 0  # u is +-1 here
     else:
-        a = s % abs(v)
+        a = pow(u, -1, abs(v))
         b = (1 - a * u) // v
     if a * u + b * v != 1:
         raise RuntimeError(

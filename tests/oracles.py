@@ -85,7 +85,7 @@ def _root_esp(n):
 def expand_to_roots(ring, poly):
     """Substitute c_i -> e_i(x), landing in the root ring."""
     es = _root_esp(ring.rank)
-    bindings = {v: es[i + 1] for i, v in enumerate(ring.chern_vars)}
+    bindings = {v: es[i + 1] for i, v in enumerate(ring.c_ring)}
     return poly.substitute(bindings, target_ring=root_ring(ring))
 
 
@@ -98,7 +98,7 @@ def a_classes_by_evaluation(rank, chern_values, zero=Fraction(0)):
     ring = chern_ring(rank)
     values = list(chern_values)
     values += [zero] * (rank - len(values))
-    assignment = dict(zip(ring.chern_vars, values))
+    assignment = dict(zip(ring.c_ring, values))
     return [z.evaluate(assignment, zero=zero) for z in ring._z_in_c.values()]
 
 
@@ -117,7 +117,7 @@ def span_witness(n):
             gens.append((j, poly))
     for k in range(2, n + 1):
         products = _graded_products(gens, k, ring)
-        target = RationalPoly.gen(ring.z_ring, ring.z_vars[k - 2])
+        target = RationalPoly.gen(ring.z_ring, ring.z_ring[k - 2])
         if not products:
             return True
         row_keys = sorted(

@@ -119,7 +119,7 @@ def test_criterion_1_rank_two_end_class_is_z2():
 def test_criterion_2_rank_three_specializations():
     start = time.perf_counter()
     ring = chern_ring(3)
-    c1, c2, c3 = ring.chern_vars
+    c1, c2, c3 = ring.c_ring
     zero = RationalPoly.zero(ring.c_ring)
     at_vanishing_lower = z_basis(ring, 3).evaluate(
         {c1: zero, c2: zero, c3: RationalPoly.gen(ring.c_ring, c3)}
@@ -302,7 +302,7 @@ def test_criterion_8_brute_force_oracle_up_to_rank_four():
                     prod = prod * factor
                 expected = expected + prod
             oracle = express_in_elementary(
-                expected, root_vars(ring), target_vars=ring.chern_vars
+                expected, root_vars(ring), target_vars=ring.c_ring
             )
             impl = z_basis(ring, k)
             if oracle.terms != impl.terms or oracle.to_text() != impl.to_text():
@@ -323,7 +323,7 @@ def test_criterion_8_brute_force_oracle_up_to_rank_four():
                     break
                 continue
             oracle = express_in_elementary(
-                expected, root_vars(ring), target_vars=ring.chern_vars
+                expected, root_vars(ring), target_vars=ring.c_ring
             )
             impl = end_chern(n, j)
             if oracle.terms != impl.terms or oracle.to_text() != impl.to_text():

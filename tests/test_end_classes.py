@@ -57,7 +57,7 @@ class TestAgainstRootRing:
     def test_end_chern_matches_elementary_descent(self, n, j):
         ring = chern_ring(n)
         expected = express_in_elementary(
-            root_ring_end_esp(n)[j], root_vars(ring), target_vars=ring.chern_vars
+            root_ring_end_esp(n)[j], root_vars(ring), target_vars=ring.c_ring
         )
         got = end_chern(n, j)
         assert got.terms == expected.terms
@@ -93,7 +93,7 @@ class TestRankFive:
             roots = [
                 Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(self.N)
             ]
-            c_values = dict(zip(ring.chern_vars, fraction_esp(roots)[1:]))
+            c_values = dict(zip(ring.c_ring, fraction_esp(roots)[1:]))
             expected = fraction_esp([a - b for a in roots for b in roots])
             for j in range(1, self.N**2 + 1):
                 assert end_chern(self.N, j).evaluate(c_values) == expected[j], j
@@ -111,7 +111,7 @@ class TestLoudFailure:
 
         def corrupt(n):
             p = honest(n)
-            z2 = RationalPoly.gen(chern_ring(n).z_ring, chern_ring(n).z_vars[0])
+            z2 = RationalPoly.gen(chern_ring(n).z_ring, chern_ring(n).z_ring[0])
             p[4] = p[4] + z2**2
             return p
 

@@ -48,6 +48,34 @@ def test_no_assert_statements(path):
     assert lines == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_isinstance_takes_no_name_from_typing(path):
+    # typing's aliases check instances in Python, collections.abc's in C
+    tree = _tree(path)
+    from_typing, typing_modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "typing":
+            from_typing |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            typing_modules |= {
+                alias.asname or alias.name
+                for alias in node.names
+                if alias.name == "typing"
+            }
+    found = []
+    for node in ast.walk(tree):
+        is_check = isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        if not (is_check and node.func.id == "isinstance" and len(node.args) == 2):
+            continue
+        classes = node.args[1]
+        for cls in classes.elts if isinstance(classes, ast.Tuple) else [classes]:
+            named = isinstance(cls, ast.Name) and cls.id in from_typing
+            dotted = isinstance(cls, ast.Attribute) and isinstance(cls.value, ast.Name)
+            if named or (dotted and cls.value.id in typing_modules):
+                found.append(f"line {node.lineno}: {ast.unparse(cls)}")
+    assert found == []
+
+
 def test_cli_import_leaves_selftest_unloaded():
     probe = "import sys, projchar.cli; print('projchar.selftest' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}

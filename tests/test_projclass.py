@@ -136,12 +136,12 @@ class TestRingLayout:
     def test_variable_names_and_weights(self):
         ring = chern_ring(3)
         assert [v.name for v in root_vars(ring)] == ["x1", "x2", "x3"]
-        assert [(v.name, v.weight) for v in ring.chern_vars] == [
+        assert [(v.name, v.weight) for v in ring.c_ring] == [
             ("c1", 1),
             ("c2", 2),
             ("c3", 3),
         ]
-        assert [(v.name, v.weight) for v in ring.z_vars] == [("z2", 2), ("z3", 3)]
+        assert [(v.name, v.weight) for v in ring.z_ring] == [("z2", 2), ("z3", 3)]
 
     def test_rank_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -200,7 +200,7 @@ class TestZBasis:
         for n in range(2, 6):
             ring = chern_ring(n)
             c = [None] + [
-                RationalPoly.gen(ring.c_ring, v) for v in ring.chern_vars
+                RationalPoly.gen(ring.c_ring, v) for v in ring.c_ring
             ]
             for k in range(2, n + 1):
                 expected = RationalPoly.zero(ring.c_ring)
@@ -287,7 +287,7 @@ class TestShiftInvariance:
 
     def test_c1_is_not_invariant(self):
         ring = chern_ring(2)
-        c1 = RationalPoly.gen(ring.c_ring, ring.chern_vars[0])
+        c1 = RationalPoly.gen(ring.c_ring, ring.c_ring[0])
         assert not is_shift_invariant(ring, c1)
 
     def test_normalized_c2_combination(self):
@@ -299,7 +299,7 @@ class TestShiftInvariance:
         rng = random.Random(11)
         for n in range(2, 5):
             ring = chern_ring(n)
-            c1 = RationalPoly.gen(ring.c_ring, ring.chern_vars[0])
+            c1 = RationalPoly.gen(ring.c_ring, ring.c_ring[0])
             for weight in range(2, 6):
                 invariant = seeded_invariant(rng, ring, weight)
                 perturbed = invariant + rng.choice([-2, -1, 1, 3]) * c1**weight
@@ -309,7 +309,7 @@ class TestShiftInvariance:
 
     def test_rewrite_is_none_exactly_off_the_invariants(self):
         ring = chern_ring(3)
-        c1 = RationalPoly.gen(ring.c_ring, ring.chern_vars[0])
+        c1 = RationalPoly.gen(ring.c_ring, ring.c_ring[0])
         z3 = z_basis(ring, 3)
         assert rewrite_in_z(ring, z3).to_text() == "1*z3"
         assert rewrite_in_z(ring, z3 + c1**3) is None
@@ -317,7 +317,7 @@ class TestShiftInvariance:
 
     def test_inhomogeneous_class_with_one_non_invariant_component(self):
         ring = chern_ring(3)
-        c1 = RationalPoly.gen(ring.c_ring, ring.chern_vars[0])
+        c1 = RationalPoly.gen(ring.c_ring, ring.c_ring[0])
         z2, z3 = z_basis(ring, 2), z_basis(ring, 3)
         assert rewrite_in_z(ring, z2 + z3 + c1**3) is None
         assert rewrite_in_z(ring, 5 + z2 + c1) is None
@@ -325,7 +325,7 @@ class TestShiftInvariance:
 
     def test_rewrite_substitutes_once(self, monkeypatch):
         ring = chern_ring(4)
-        c1 = RationalPoly.gen(ring.c_ring, ring.chern_vars[0])
+        c1 = RationalPoly.gen(ring.c_ring, ring.c_ring[0])
         z2, z4 = z_basis(ring, 2), z_basis(ring, 4)
         original = RationalPoly.substitute
         calls = []
@@ -343,7 +343,7 @@ class TestShiftInvariance:
 
     def test_expand_to_roots_matches_elementary(self):
         ring = chern_ring(3)
-        c2 = RationalPoly.gen(ring.c_ring, ring.chern_vars[1])
+        c2 = RationalPoly.gen(ring.c_ring, ring.c_ring[1])
         assert expand_to_roots(ring, c2) == elementary_symmetric(2, root_vars(ring))
 
 
@@ -364,7 +364,7 @@ class TestExpressInZ:
 
     def test_non_invariant_rejected(self):
         ring = chern_ring(2)
-        c1 = RationalPoly.gen(ring.c_ring, ring.chern_vars[0])
+        c1 = RationalPoly.gen(ring.c_ring, ring.c_ring[0])
         with pytest.raises(ValueError, match="shift-invariant"):
             express_in_z(ring, c1)
 
@@ -446,7 +446,7 @@ class TestReduction:
 
     def test_failed_identity_names_inputs_and_term(self, monkeypatch):
         ring = chern_ring(4)
-        c1 = RationalPoly.gen(ring.c_ring, ring.chern_vars[0])
+        c1 = RationalPoly.gen(ring.c_ring, ring.c_ring[0])
         perturbed = {
             z: poly + c1**k
             for k, (z, poly) in enumerate(ring._z_in_c.items(), start=2)
@@ -491,7 +491,7 @@ class TestAClasses:
 
     def test_symbolic_values_recover_z_basis(self):
         ring = chern_ring(3)
-        gens = [RationalPoly.gen(ring.c_ring, v) for v in ring.chern_vars]
+        gens = [RationalPoly.gen(ring.c_ring, v) for v in ring.c_ring]
         res = a_classes(3, gens)
         assert res == [z_basis(ring, 2), z_basis(ring, 3)]
 

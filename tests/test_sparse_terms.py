@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from operator import add
+from types import MappingProxyType
 
 import pytest
 
@@ -244,6 +245,15 @@ class TestCanonicalForm:
         texts = [element._term_text(k, c) for k, c in _text_terms(element, in_order)]
         assert element.to_text() == (" + ".join(texts) or "0")
 
+    def test_read_only_mappings_are_accepted(self):
+        ring = make_ring(Variable("x"), Variable("y", 2))
+        terms = {(1, 0): 2, (0, 1): Fraction(1, 2)}
+        assert RationalPoly(ring, MappingProxyType(terms)).terms == terms
+        algebra, surface = ParameterAlgebra(GENS, 6), SurfaceRing(1)
+        parts = {(0, 0, 0): algebra.gen("u1"), (2, 0, 0): 3 * algebra.gen("v1")}
+        proxied = KunnethClass(algebra, surface, MappingProxyType(parts))
+        assert proxied.parts == parts
+
     @pytest.mark.parametrize("kind", list(_canonical_cases()))
     def test_pairs_summing_to_zero_give_the_zero_element(self, kind):
         build, keys, coef, _ = _canonical_cases()[kind]
@@ -271,7 +281,7 @@ class TestOrderOnlyInText:
 
         monkeypatch.setattr(RationalPoly, "_order", counted)
         ring = projclass.ChernRing(6)
-        c = [RationalPoly.gen(ring.c_ring, v) for v in ring.chern_vars]
+        c = [RationalPoly.gen(ring.c_ring, v) for v in ring.c_ring]
         projclass.twist(c, -c[0], RationalPoly.const(ring.c_ring, 1))
         assert calls == []
         projclass._end_classes.cache_clear()

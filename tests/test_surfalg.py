@@ -41,6 +41,22 @@ def algebra(max_degree: int = 8) -> ParameterAlgebra:
     return ParameterAlgebra(GENS, max_degree)
 
 
+def count_calls(monkeypatch, *targets) -> Counter:
+    """Count the calls of each (owner, method name) target, by name, from now on."""
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    return calls
+
+
 class TestSurfaceRing:
     def test_basis_order_genus_two(self):
         ring = SurfaceRing(2)
@@ -117,11 +133,17 @@ class TestSurfaceClass:
         assert SurfaceClass.unit(self.ring).pair(point_class(self.ring)) == 1
 
     def test_degree(self):
-        assert SurfaceClass.zero(self.ring).degree() is None
-        assert SurfaceClass.omega_class(self.ring).degree() == 2
+        assert SurfaceClass.zero(self.ring).cohomological_degree() is None
+        assert SurfaceClass.omega_class(self.ring).cohomological_degree() == 2
         mixed = SurfaceClass.unit(self.ring) + SurfaceClass.alpha(self.ring, 1)
         with pytest.raises(ValueError):
-            mixed.degree()
+            mixed.cohomological_degree()
+
+    def test_a_classes_checks_the_degree_of_surface_values(self):
+        z = SurfaceClass.zero(self.ring)
+        alpha = SurfaceClass.alpha(self.ring, 1)
+        with pytest.raises(ValueError, match="value for c1 has degree 1, expected 2"):
+            surfalg.a_classes(2, [alpha, z], zero=z)
 
     def test_text(self):
         s = 2 * SurfaceClass.alpha(self.ring, 1) - SurfaceClass.omega_class(
@@ -416,28 +438,32 @@ class TestFlatTerms:
             for _ in range(2)
         )
         assert not (a * b).is_zero()  # builds the ring's table of basis products
-        calls = Counter()
-
-        def counted(name, original):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            return wrapper
-
-        for owner, name in (
+        calls = count_calls(
+            monkeypatch,
             (ParamElement, "__init__"),
             (ParamElement, "_make"),
             (SurfaceRing, "check_key"),
-        ):
-            original = getattr(owner, name)
-            monkeypatch.setattr(owner, name, counted(name, original))
+        )
         results = [a * b, a + b, 3 * a, a**3]
         assert calls == Counter(), calls
         assert all(results) and all(type(r) is KunnethClass for r in results)
         # the counters are live: parts builds ParamElements, part checks its key
         a.part(K_ONE)
         assert calls["_make"] == calls["check_key"] == 1
+
+
+    def test_slant_builds_one_element_from_the_flat_terms(self, monkeypatch):
+        alg, ring = algebra(), SurfaceRing(2)
+        odd_and_even = alg.gen("v1") + 2 * alg.gen("u1") + 3
+        a = KunnethClass(alg, ring, {k_alpha(1): odd_and_even, K_ONE: alg.gen("v2")})
+        z = cycle_a(ring, 1)
+        expected = a.part(z.key).sign_twist(z.degree)  # also keeps the zero
+        assert expected == -alg.gen("v1") + 2 * alg.gen("u1") + 3
+        calls = count_calls(
+            monkeypatch, (ParamElement, "__init__"), (ParamElement, "_make")
+        )
+        assert slant(a, z) == expected
+        assert calls == Counter({"_make": 1}), calls
 
 
 class TestSlant:

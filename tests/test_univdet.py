@@ -23,7 +23,6 @@ from projchar.univdet import (
     det_flag,
     det_point,
     det_u,
-    extended_gcd,
     parse_moduli_params,
     weight_audit,
     weight_of,
@@ -277,12 +276,6 @@ class TestConditions:
 
 
 class TestBezout:
-    def test_extended_gcd_normalizes_sign(self):
-        for a, b in ((6, -4), (-6, 4), (-6, -4), (6, 4)):
-            g, s, t = extended_gcd(a, b)
-            assert g == 2
-            assert s * a + t * b == g
-
     def test_minimal_nonnegative_solution(self):
         a, b = bezout_min_nonneg(3, 5)
         assert a * 3 + b * 5 == 1
@@ -300,10 +293,24 @@ class TestBezout:
     def test_bad_certificate_raises_with_inputs(self, monkeypatch):
         import projchar.univdet as ud
 
-        # gcd 1 with s = 1 for (3, 5) gives a = 1, b = -1 and a*u + b*v = -2
-        monkeypatch.setattr(ud, "extended_gcd", lambda u, v: (1, 1, 0))
+        # a = 1 for (3, 5) gives b = -1 and a*u + b*v = -2
+        monkeypatch.setattr(ud, "pow", lambda u, e, m: 1, raising=False)
         with pytest.raises(RuntimeError, match=r"u=3, v=5, a=1, b=-1"):
             bezout_min_nonneg(3, 5)
+
+    def test_grid_matches_a_scan_for_the_least_a(self):
+        import math
+
+        for u in range(-30, 31):
+            for v in range(-30, 31):
+                if math.gcd(u, v) != 1:
+                    continue
+                if v == 0:
+                    expected = (u, 0)
+                else:
+                    a = next(a for a in range(abs(v)) if (1 - a * u) % v == 0)
+                    expected = (a, (1 - a * u) // v)
+                assert bezout_min_nonneg(u, v) == expected, (u, v)
 
     def test_seeded_identities(self):
         import math
