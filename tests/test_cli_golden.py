@@ -129,6 +129,10 @@ INVOCATIONS = [
     ["canonicality", "2", "0", "--count", "2"],
     ["canonicality", "2", "1", "--count", "0"],
     ["canonicality", "0", "1"],
+    ["canonicality", "4", "3", "--seed", "5", "--count", "40"],
+    ["canonicality", "3", "2", "--seed", "7", "--count", "40"],
+    ["canonicality", "-3", "1"],
+    ["canonicality", "0", "-1"],
     ["universal-bundle", "newstead.txt"],
     ["universal-bundle", "parabolic.txt", "--condition", "C2", "--witness", "x,2"],
     ["universal-bundle", "two_points.txt"],
