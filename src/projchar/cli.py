@@ -222,6 +222,8 @@ _CANON_GENERATORS = (("v1", 1), ("v2", 1), ("u1", 2), ("u2", 2))
 def _cmd_canonicality(args: argparse.Namespace) -> CommandOutput:
     if args.count < 1:
         raise ValueError(f"count must be positive, got {args.count}")
+    if args.rank < 1:
+        raise ValueError(f"rank must be positive, got {args.rank}")
     algebra = surfalg.ParameterAlgebra(
         _CANON_GENERATORS, max_degree=2 * args.rank + 2
     )

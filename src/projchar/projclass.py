@@ -51,6 +51,7 @@ from .qpoly import (
     elementary_symmetric_all,
     express_in_elementary,
     first_difference,
+    linear_combination,
     linear_solve,
     make_ring,
 )
@@ -262,6 +263,8 @@ def a_classes(
     power.  The powers c_1^2..c_1^n are built once, by successive products,
     and shared by all the z_k, so a call makes n(n-1)/2 products in the
     coefficient ring: n-1 for the powers and one per term c_1^a * c_i.
+    Each a_k is then `linear_combination` of its terms: for the package's
+    element types one pass into one sum, with no element per term.
 
     Every value's degree is checked here.  A caller that has already checked
     exactly `rank` values, as `surfalg.canonicality_check` has, evaluates
@@ -290,15 +293,15 @@ def _a_classes_of(rank: int, values: Sequence[Any], zero: Any) -> list[Any]:
         c1_powers.append(c1_powers[-1] * values[0])
     out = []
     for z in chern_ring(rank)._z_in_c.values():
-        total = zero
+        pairs = []
         for exps, coef in z.terms.items():
             factor = c1_powers[exps[0]]
             for value, e in zip(values[1:], exps[1:]):
                 if e:
                     piece = value**e
                     factor = piece if factor is None else factor * piece
-            total = total + coef * factor
-        out.append(total)
+            pairs.append((coef, factor))
+        out.append(linear_combination(pairs, zero))
     return out
 
 
@@ -352,6 +355,22 @@ def _check_end_classes(n: int, es: Sequence[RationalPoly]) -> None:
             )
 
 
+def _divide_exactly(n: int, j: int, acc: RationalPoly) -> RationalPoly:
+    """acc / j, where acc = j * e_j must have every coefficient divisible by j.
+
+    Raises RuntimeError naming n, j and the first term, in term order, that
+    j does not divide: the integral power sums were then wrong.
+    """
+    terms = acc.terms
+    if any(c % j for c in terms.values()):
+        exps = next(e for e in acc._ordered_keys() if terms[e] % j)
+        raise RuntimeError(
+            f"End class c_{j} for rank n={n}: the term {acc._term_text(exps, terms[exps])}"
+            f" of {j}*e_{j} is not divisible by {j}"
+        )
+    return acc / j
+
+
 @lru_cache(maxsize=None)
 def _end_classes(n: int) -> tuple[RationalPoly, ...]:
     """e_0..e_{n^2} of End, in the z_k, by power sums of the y_i.
@@ -360,7 +379,8 @@ def _end_classes(n: int) -> tuple[RationalPoly, ...]:
     P_m = sum_i (-1)^(m-i) C(m,i) p_i p_{m-i}, zero for odd m, and Newton's
     identities j*e_j = sum_{i=1..j} (-1)^(i-1) e_{j-i} P_i turn them back
     into their elementary classes n^j * c_j(End), so the odd classes vanish
-    too.  Each is divided by n^j once, at the end.
+    too.  The division by j is exact over Z and checked; each class is
+    divided by n^j once, at the end.
     """
     ring = chern_ring(n)
     zero = RationalPoly.zero(ring.z_ring)
@@ -376,7 +396,7 @@ def _end_classes(n: int) -> tuple[RationalPoly, ...]:
         acc = zero
         for i in range(2, j + 1, 2):
             acc = acc - es[j - i] * P[i]
-        es[j] = acc / j
+        es[j] = _divide_exactly(n, j, acc)
     es = [e / n**j for j, e in enumerate(es)]
     _check_end_classes(n, es)
     return tuple(es)

@@ -18,9 +18,12 @@ pair, sum equal keys, drop zeros), the construction of results without
 that check, the term order and the text grammar ("0" or terms joined by
 " + " in that order), the product loop, scalar coercion, +, -, negation,
 scalar *, ** by square-and-multiply, == and repr.  Each type supplies its
-key and coefficient check, its order key, the text of one term, the
-product of two terms (here the exponent sum), two one-line hooks and the
-names of the slots a result shares with its operand.
+key and coefficient check, its order key, the text of one term, the rows
+of its key products (here exponent sums, worked out on each use), two
+one-line hooks and the names of the slots a result shares with its
+operand.  `ProductRows` is the memo of key products that the other three
+types keep, one per space object.  `linear_combination` sums
+coefficient * element pairs into one element in one pass.
 `substitute` is `evaluate` into a target ring that its caller names.
 
 The module also carries `elementary_symmetric_all`, every e_k of a list
@@ -45,9 +48,11 @@ from typing import Any
 __all__ = [
     "Variable",
     "SparseTerms",
+    "ProductRows",
     "RationalPoly",
     "LinearSolveResult",
     "make_ring",
+    "linear_combination",
     "elementary_symmetric_all",
     "express_in_elementary",
     "first_difference",
@@ -121,10 +126,13 @@ class SparseTerms:
     - `_order`: the sort key of a term key (None: the key itself), with
       `_descending` choosing the direction; only `_ordered_keys` calls it;
     - `_term_text(key, coef)`: the text of one term, for `to_text`;
-    - `_times(k1, c1, k2, c2)`: the product of two terms as a (key, coef)
-      pair, or None when it is zero in the space (`_entry` never sees the
-      key, so `_times` applies any truncation itself); `_mul` sums these
-      over all pairs;
+    - `_product_rows()`: the rows of key products, where `rows[k1][k2]`
+      is the product of the terms k1 and k2 with coefficient 1 as
+      (key, sign), sign 1 or -1, or None when it is zero in the space
+      (`_entry` never sees the key, so the rows apply any truncation
+      themselves); `_mul` reads one entry per pair of terms and multiplies
+      the coefficients itself.  A `ProductRows` keeps every entry it works
+      out; the rows of `RationalPoly` keep none;
     - `_space()`: the constructor's arguments before the terms, as a tuple;
       operands from different spaces raise `ValueError` with `_mismatch`;
       `_shared` names the slots a result copies from its operand;
@@ -186,14 +194,20 @@ class SparseTerms:
 
     def _mul(self, other: Any) -> Any:
         """The product with an element of the same space, term by term."""
-        times = self._times
+        rows = self._product_rows()
+        right = other.terms.items()
         acc: dict = {}
+        get = acc.get
         for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                hit = times(k1, c1, k2, c2)
+            row = rows[k1]
+            minus = -c1
+            for k2, c2 in right:
+                hit = row[k2]
                 if hit is not None:
-                    key, coef = hit
-                    acc[key] = acc[key] + coef if key in acc else coef
+                    key, sign = hit
+                    coef = (c1 if sign > 0 else minus) * c2
+                    old = get(key)
+                    acc[key] = coef if old is None else old + coef
         return self._make(acc)
 
     def to_text(self) -> str:
@@ -291,6 +305,92 @@ class SparseTerms:
         return f"{type(self).__name__}({self.to_text()})"
 
 
+class ProductRows(dict):
+    """A memo of key products in one space: `rows[k1][k2]` as (key, sign) or None.
+
+    `pair(k1, k2)` works out an entry the first time it is read; the row
+    and the entry are kept from then on.  A space keeps its rows on its
+    space object, so two equal spaces keep separate memos.
+    """
+
+    __slots__ = ("_pair",)
+
+    def __init__(self, pair: Any) -> None:
+        self._pair = pair
+
+    def __missing__(self, left: Any) -> "_MemoRow":
+        row = self[left] = _MemoRow(left, self._pair)
+        return row
+
+
+class _MemoRow(dict):
+    """One row of a `ProductRows`: the products of one left key, kept."""
+
+    __slots__ = ("_left", "_pair")
+
+    def __init__(self, left: Any, pair: Any) -> None:
+        self._left = left
+        self._pair = pair
+
+    def __missing__(self, right: Any) -> Any:
+        hit = self[right] = self._pair(self._left, right)
+        return hit
+
+
+class _ExponentSums:
+    """The rows of monomial products, which keep nothing.
+
+    Pairs of polynomial terms rarely repeat, so a memo would only add
+    memory: each lookup sums the exponents again.
+    """
+
+    __slots__ = ()
+
+    def __getitem__(self, left: Exponents) -> "_ExponentRow":
+        return _ExponentRow(left)
+
+
+class _ExponentRow(dict):
+    """An empty row: every lookup misses and returns (e1 + e2, 1)."""
+
+    __slots__ = ("_left",)
+
+    def __init__(self, left: Exponents) -> None:
+        self._left = left
+
+    def __missing__(self, right: Exponents) -> tuple[Exponents, int]:
+        return tuple(map(add, self._left, right)), 1
+
+
+_EXPONENT_SUMS = _ExponentSums()
+
+
+def linear_combination(pairs: Iterable[tuple[Any, Any]], zero: Any) -> Any:
+    """zero + the sum of coef * value over the (coef, value) pairs.
+
+    When `zero` is a kernel element, every value is an element of its space
+    or a scalar, and the sum is collected in one dict and built once, its
+    integral coefficients stored as ints, as `_canonical` does.  Any other
+    `zero` (a number, or an element of another ring) is summed by + and *.
+    """
+    if not isinstance(zero, SparseTerms):
+        total = zero
+        for coef, value in pairs:
+            total = total + coef * value
+        return total
+    acc = dict(zero.terms)
+    get = acc.get
+    for coef, value in pairs:
+        element = zero._coerce(value)
+        if element is None:
+            raise TypeError(f"cannot add {type(value).__name__} to {type(zero).__name__}")
+        q = zero._exact(coef)
+        for key, c in element.terms.items():
+            old = get(key)
+            acc[key] = c * q if old is None else old + c * q
+    return zero._make({k: _integral(c) for k, c in acc.items()})
+
+
 class RationalPoly(SparseTerms):
     """Sparse polynomial with exact rational coefficients over an ordered ring.
 
@@ -368,10 +468,8 @@ class RationalPoly(SparseTerms):
     def _term_text(self, exps: Exponents, coef: Fraction) -> str:
         return "*".join([format_fraction(coef), *self._factors(exps)])
 
-    def _times(
-        self, e1: Exponents, c1: Fraction, e2: Exponents, c2: Fraction
-    ) -> tuple[Exponents, Fraction]:
-        return tuple(map(add, e1, e2)), c1 * c2
+    def _product_rows(self) -> _ExponentSums:
+        return _EXPONENT_SUMS
 
     def _space(self) -> tuple[Ring]:
         return (self.ring,)

@@ -15,14 +15,14 @@ form (sum equal keys, drop zeros), the product loop, +, -, scalar *, **,
 == and repr from the kernel `qpoly.SparseTerms`, and every coefficient is
 an int or a Fraction.  Each supplies only its key and coefficient check
 (for `ParamElement` also the truncation), its order key, the text of one
-term and the product of two terms.  A `KunnethClass` keys its terms by
-(surface key, parameter monomial), so the product of two terms is two
-table lookups and a sign: the surface ring's products of basis elements,
-worked out once per ring, and the parameter algebra's products of
-monomials, each kept in `_product_cache` (keyed by the ordered pair of
-exponent vectors) after its first use.  Its constructor takes, and `parts`
-gives back, one ParamElement per surface key, and its text is written by
-those parts.
+term and the rows of its key products, a `qpoly.ProductRows` memo kept on
+its space object: per surface ring, per parameter algebra and, for
+`KunnethClass`, per (algebra, ring).  Once a pair of term keys has been
+multiplied, its product is one lookup in that memo.  A `KunnethClass`
+keys its terms by (surface key, parameter monomial), so a pair it has not
+met yet is worked out from the ring's entry, the algebra's entry and one
+Koszul sign.  Its constructor takes, and `parts` gives back, one
+ParamElement per surface key, and its text is written by those parts.
 
 The payoff is `canonicality_check`: twisting a rank-n Chern list by a
 degree-2 parameter class must leave both the degree-1 slants of c_1 and all
@@ -44,7 +44,7 @@ from typing import Any, Optional
 # it at its surfalg attribute, and a missing one fails `--trace 1` with a
 # KeyError
 from .projclass import _a_classes_of, a_classes, twist  # noqa: F401
-from .qpoly import SparseTerms, format_fraction
+from .qpoly import ProductRows, SparseTerms, format_fraction
 
 __all__ = [
     "K_ONE",
@@ -124,24 +124,27 @@ class SurfaceRing:
         """Product of two basis elements as (sign, key), or None when zero."""
         self.check_key(k1)
         self.check_key(k2)
+        hit = self._pair(k1, k2)
+        return None if hit is None else (hit[1], hit[0])
+
+    @staticmethod
+    def _pair(k1: BasisKey, k2: BasisKey) -> Optional[tuple[BasisKey, int]]:
+        """(key, sign) of two basis keys' product, or None; the keys are trusted."""
         if k1 == K_ONE:
-            return (1, k2)
+            return (k2, 1)
         if k2 == K_ONE:
-            return (1, k1)
+            return (k1, 1)
         if k1[0] + k2[0] > 2:
             return None
         # two degree-1 classes: only alpha_i * beta_i survives, up to sign
         if k1[2] != k2[2] or k1[1] == k2[1]:
             return None
-        return (1, K_OMEGA) if k1[1] == 0 else (-1, K_OMEGA)
+        return (K_OMEGA, 1) if k1[1] == 0 else (K_OMEGA, -1)
 
     @cached_property
-    def _basis_products(
-        self,
-    ) -> dict[tuple[BasisKey, BasisKey], Optional[tuple[int, BasisKey]]]:
-        """`basis_mul` of every ordered pair of basis keys, worked out once."""
-        basis = self.basis
-        return {(k1, k2): self.basis_mul(k1, k2) for k1 in basis for k2 in basis}
+    def _products(self) -> ProductRows:
+        """The memo of basis-key products that `SurfaceClass` arithmetic reads."""
+        return ProductRows(self._pair)
 
 
 class SurfaceClass(SparseTerms):
@@ -187,14 +190,8 @@ class SurfaceClass(SparseTerms):
         head = format_fraction(coef)
         return head if key == K_ONE else f"{head}*{self.ring.name(key)}"
 
-    def _times(
-        self, k1: BasisKey, c1: int | Fraction, k2: BasisKey, c2: int | Fraction
-    ) -> Optional[tuple[BasisKey, int | Fraction]]:
-        hit = self.ring._basis_products[k1, k2]
-        if hit is None:
-            return None
-        sign, key = hit
-        return key, sign * c1 * c2
+    def _product_rows(self) -> ProductRows:
+        return self.ring._products
 
     def _space(self) -> tuple[SurfaceRing]:
         return (self.ring,)
@@ -268,9 +265,11 @@ class ParameterAlgebra:
 
     Those two rules (`_vanishes`) and `koszul_sign` give the product of two
     monomials.  Each algebra object keeps every product it works out in
-    `_product_cache`, a dict from the ordered pair of exponent vectors to
-    (exponents, sign), or to None when the product vanishes.  It holds at
-    most one entry per ordered pair of monomials within the degree bound.
+    `_products`, a `ProductRows` memo whose entry for an ordered pair of
+    exponent vectors is (exponents, sign), or None when the product
+    vanishes.  It holds at most one entry per ordered pair of monomials
+    within the degree bound.  The memos of its Kunneth classes, one per
+    surface ring, are kept here as well.
     """
 
     generators: tuple[tuple[str, int], ...]
@@ -304,9 +303,13 @@ class ParameterAlgebra:
         return {}
 
     @cached_property
-    def _product_cache(
-        self,
-    ) -> dict[tuple[Exponents, Exponents], Optional[tuple[Exponents, int]]]:
+    def _products(self) -> ProductRows:
+        """The memo of monomial products that `ParamElement` arithmetic reads."""
+        return ProductRows(self._product)
+
+    @cached_property
+    def _kunneth_products(self) -> dict[SurfaceRing, ProductRows]:
+        """The memo of `KunnethClass` term-key products, per surface ring."""
         return {}
 
     @cached_property
@@ -335,11 +338,9 @@ class ParameterAlgebra:
     def _product(
         self, e1: Exponents, e2: Exponents
     ) -> Optional[tuple[Exponents, int]]:
-        """(exponents, Koszul sign) of e1 * e2, or None when it vanishes; kept."""
+        """(exponents, Koszul sign) of e1 * e2, or None when it vanishes."""
         exps = tuple(map(add, e1, e2))
-        hit = None if self._vanishes(exps) else (exps, self.koszul_sign(e1, e2))
-        self._product_cache[e1, e2] = hit
-        return hit
+        return None if self._vanishes(exps) else (exps, self.koszul_sign(e1, e2))
 
     def monomials_of_degree(self, degree: int) -> tuple[Exponents, ...]:
         if degree < 0 or degree > self.max_degree:
@@ -384,7 +385,8 @@ class ParamElement(SparseTerms):
 
     Monomials with an odd generator squared, or with degree above the
     algebra's bound, are identically zero: the constructor drops them, and
-    `_times` returns None for a product of two terms that lands on one.
+    the algebra's product memo holds None for a pair of terms whose product
+    lands on one.
     """
 
     __slots__ = ("algebra", "terms")
@@ -427,17 +429,8 @@ class ParamElement(SparseTerms):
                 factors.append(f"{name}^{e}")
         return "*".join(factors)
 
-    def _times(
-        self, e1: Exponents, c1: int | Fraction, e2: Exponents, c2: int | Fraction
-    ) -> Optional[tuple[Exponents, int | Fraction]]:
-        try:
-            hit = self.algebra._product_cache[e1, e2]
-        except KeyError:
-            hit = self.algebra._product(e1, e2)
-        if hit is None:
-            return None
-        exps, sign = hit
-        return exps, sign * c1 * c2
+    def _product_rows(self) -> ProductRows:
+        return self.algebra._products
 
     def _space(self) -> tuple[ParameterAlgebra]:
         return (self.algebra,)
@@ -459,10 +452,11 @@ class KunnethClass(SparseTerms):
     `terms` maps (surface key, parameter monomial) to an exact rational.
     The constructor takes the parts, a map (or pairs) from surface key to
     ParamElement, and checks each part; `parts` and `part()` give them back
-    as ParamElements.  The product of two terms is two lookups, the
-    surface ring's basis products and the algebra's monomial products,
-    and one Koszul sign: -1 when the left surface key and the right
-    monomial both have odd degree.
+    as ParamElements.  The product of two terms is one lookup in the
+    memo the algebra keeps for this ring.  A pair met for the first time
+    is worked out from the surface ring's basis product, the algebra's
+    monomial product and one Koszul sign, -1 when the left surface key and
+    the right monomial both have odd degree, and kept.
     """
 
     __slots__ = ("algebra", "ring", "terms")
@@ -549,28 +543,14 @@ class KunnethClass(SparseTerms):
     def _term_text(self, key: BasisKey, elt: ParamElement) -> str:
         return f"({elt.to_text()}) ⊗ {self.ring.name(key)}"
 
-    def _times(
-        self, k1: TermKey, c1: int | Fraction, k2: TermKey, c2: int | Fraction
-    ) -> Optional[tuple[TermKey, int | Fraction]]:
-        s1, e1 = k1
-        s2, e2 = k2
-        surface = self.ring._basis_products[s1, s2]
-        if surface is None:
-            return None
-        algebra = self.algebra
-        try:
-            param = algebra._product_cache[e1, e2]
-        except KeyError:
-            param = algebra._product(e1, e2)
-        if param is None:
-            return None
-        sign, key = surface
-        exps, koszul = param
-        # the surface leg of the first factor moves past the parameter leg
-        # of the second
-        if s1[0] == 1 and algebra.monomial_degree(e2) % 2:
-            koszul = -koszul
-        return (key, exps), sign * koszul * c1 * c2
+    def _product_rows(self) -> ProductRows:
+        memos = self.algebra._kunneth_products
+        rows = memos.get(self.ring)
+        if rows is None:
+            rows = memos[self.ring] = ProductRows(
+                _kunneth_pair(self.algebra, self.ring)
+            )
+        return rows
 
     def _space(self) -> tuple[ParameterAlgebra, SurfaceRing]:
         return (self.algebra, self.ring)
@@ -578,6 +558,33 @@ class KunnethClass(SparseTerms):
     def _scalar(self, value: Any) -> "KunnethClass":
         unit = (K_ONE, (0,) * len(self.algebra.generators))
         return self._make({unit: self._exact(value)})
+
+
+def _kunneth_pair(algebra: ParameterAlgebra, ring: SurfaceRing) -> Any:
+    """The product rule of two Kunneth term keys, from the two spaces' memos."""
+    surface, param, degree = ring._products, algebra._products, algebra.monomial_degree
+    # equal products share one entry: fewer tuples kept in a large memo
+    made: dict = {}
+
+    def pair(k1: TermKey, k2: TermKey) -> Optional[tuple[TermKey, int]]:
+        s1, e1 = k1
+        s2, e2 = k2
+        hit = surface[s1][s2]
+        if hit is None:
+            return None
+        mono = param[e1][e2]
+        if mono is None:
+            return None
+        key, sign = hit
+        exps, koszul = mono
+        # the surface leg of the first factor moves past the parameter leg
+        # of the second
+        if s1[0] == 1 and degree(e2) % 2:
+            koszul = -koszul
+        hit = (key, exps), sign * koszul
+        return made.setdefault(hit, hit)
+
+    return pair
 
 
 def slant(a: KunnethClass, z: HomologyClass) -> ParamElement:

@@ -4,9 +4,10 @@ Each oracle takes the long way round where the library uses a closed
 form: the root ring x_1..x_n in place of the twist identity, a general
 span search over products of End classes in place of the parity argument
 behind `surjectivity_witness`, a generic polynomial evaluation of each
-z_k(c) in place of the shared c_1 powers of `a_classes`, and a Kunneth
+z_k(c) in place of the shared c_1 powers of `a_classes`, a running sum
+by + and * in place of the one-pass `linear_combination`, and a Kunneth
 product written out part by part, over ParamElements, in place of the flat
-(surface key, monomial) terms of `KunnethClass`.  Newstead's closed
+(surface key, monomial) terms of `KunnethClass` and their product memo.  Newstead's closed
 form for the Betti numbers of the rank-2 moduli space is an outside bound
 on the generator catalog.  None of this is on a library path.
 """
@@ -100,6 +101,38 @@ def a_classes_by_evaluation(rank, chern_values, zero=Fraction(0)):
     values += [zero] * (rank - len(values))
     assignment = dict(zip(ring.c_ring, values))
     return [z.evaluate(assignment, zero=zero) for z in ring._z_in_c.values()]
+
+
+def linear_combination_by_addition(pairs, zero):
+    """zero + coef * value for each (coef, value) pair in turn, by + and *."""
+    total = zero
+    for coef, value in pairs:
+        total = total + coef * value
+    return total
+
+
+def a_classes_by_running_sums(rank, values, zero):
+    """a_2..a_rank at exactly `rank` values, each a_k summed term by term.
+
+    The shared c_1 powers are those of `a_classes`; each term coef * c_1^a
+    * c_i is added to a running total by +, which builds two elements per
+    term.
+    """
+    c1_powers = [None, values[0]]
+    for _ in range(2, rank + 1):
+        c1_powers.append(c1_powers[-1] * values[0])
+    out = []
+    for z in chern_ring(rank)._z_in_c.values():
+        total = zero
+        for exps, coef in z.terms.items():
+            factor = c1_powers[exps[0]]
+            for value, e in zip(values[1:], exps[1:]):
+                if e:
+                    piece = value**e
+                    factor = piece if factor is None else factor * piece
+            total = total + coef * factor
+        out.append(total)
+    return out
 
 
 def span_witness(n):

@@ -361,6 +361,19 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("-3", "1"), "rank must be positive, got -3"),
+            (("0", "-1"), "rank must be positive, got 0"),
+        ],
+    )
+    def test_canonicality_reports_a_bad_rank_before_the_genus(
+        self, capsys, argv, message
+    ):
+        code, out, err = run(capsys, "canonicality", *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_rank_five_end_classes_are_bounded(self, capsys):
         projclass._end_classes.cache_clear()
         for command in ("end-in-a", "end-chern"):

@@ -106,22 +106,53 @@ class TestLoudFailure:
         yield
         projclass._end_classes.cache_clear()
 
-    def test_corrupt_power_sum_is_caught(self, monkeypatch, fresh_caches):
+    @staticmethod
+    def corrupt_p4(monkeypatch, multiple):
+        """Add multiple * z2^2 to the power sum p_4 of every rank."""
         honest = projclass._y_power_sums
 
         def corrupt(n):
             p = honest(n)
             z2 = RationalPoly.gen(chern_ring(n).z_ring, chern_ring(n).z_ring[0])
-            p[4] = p[4] + z2**2
+            p[4] = p[4] + multiple * z2**2
             return p
 
         monkeypatch.setattr(projclass, "_y_power_sums", corrupt)
+
+    def test_corrupt_power_sum_is_caught(self, monkeypatch, fresh_caches):
+        # 4 * z2^2 keeps every division by j exact, so the root check decides
+        self.corrupt_p4(monkeypatch, 4)
         with pytest.raises(RuntimeError) as info:
             end_in_a(3, 2)
         message = str(info.value)
         assert "c_4" in message
         assert "n=3" in message
         assert "against" in message
+
+    def test_corrupt_power_sum_breaking_the_division_is_caught(
+        self, monkeypatch, fresh_caches
+    ):
+        self.corrupt_p4(monkeypatch, 1)
+        with pytest.raises(RuntimeError) as info:
+            end_in_a(3, 2)
+        assert str(info.value) == (
+            "End class c_4 for rank n=3: the term 30*z2^2 of 4*e_4"
+            " is not divisible by 4"
+        )
+
+    def test_division_by_j_is_exact_or_loud(self):
+        ring = chern_ring(4).z_ring
+        exact = RationalPoly(ring, {(2, 0, 0): 12, (0, 0, 1): -6})
+        halved = projclass._divide_exactly(4, 6, exact)
+        assert halved.terms == {(2, 0, 0): 2, (0, 0, 1): -1}
+        assert all(type(c) is int for c in halved.terms.values())
+        # both 9 and 15 miss 6; the first in term order is z2^2, weight 4
+        inexact = RationalPoly(ring, {(2, 0, 0): 9, (0, 0, 1): 15, (0, 1, 0): 6})
+        with pytest.raises(RuntimeError) as info:
+            projclass._divide_exactly(4, 6, inexact)
+        assert str(info.value) == (
+            "End class c_6 for rank n=4: the term 9*z2^2 of 6*e_6 is not divisible by 6"
+        )
 
     def test_honest_power_sums_pass(self, fresh_caches):
         assert end_in_a(3, 2).to_text() == "2/3*z2"

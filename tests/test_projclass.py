@@ -39,6 +39,7 @@ from projchar.univdet import ParabolicDatum, ParabolicPoint
 
 from oracles import (
     a_classes_by_evaluation,
+    a_classes_by_running_sums,
     elementary_symmetric,
     embedded,
     expand_to_roots,
@@ -538,6 +539,33 @@ class TestAClasses:
                 want = a_classes_by_evaluation(rank, values, zero=zero)
                 assert got == want, (kind, rank, genus, given)
                 assert all(type(a) is type(zero) for a in got), kind
+
+    @pytest.mark.parametrize("rank", range(2, 6))
+    def test_one_pass_sums_match_the_running_sums(self, rank):
+        rng = random.Random(900 + rank)
+        ring = chern_ring(rank)
+        algebra = ParameterAlgebra(PARAM_GENS, 2 * rank + 2)
+        surface = SurfaceRing(2)
+        kinds = [
+            ([Fraction(rng.randint(-9, 9), 2) for _ in range(rank)], Fraction(0)),
+            (
+                [random_c_poly(rng, ring, i) for i in range(1, rank + 1)],
+                RationalPoly.zero(ring.c_ring),
+            ),
+            (
+                [random_kunneth(rng, algebra, surface, 2 * i) for i in range(1, rank + 1)],
+                KunnethClass.zero(algebra, surface),
+            ),
+        ]
+        for values, zero in kinds:
+            got = projclass._a_classes_of(rank, values, zero)
+            want = a_classes_by_running_sums(rank, values, zero)
+            assert got == want
+            assert [str(a) for a in got] == [str(a) for a in want]
+            for a in got:
+                if hasattr(a, "terms"):
+                    coefs = a.terms.values()
+                    assert all(type(c) is int for c in coefs if c.denominator == 1)
 
     @pytest.mark.parametrize("rank", range(2, 8))
     def test_one_shared_power_table(self, rank):

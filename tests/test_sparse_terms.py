@@ -10,19 +10,26 @@ from types import MappingProxyType
 
 import pytest
 
-from projchar import projclass
-from projchar.qpoly import RationalPoly, SparseTerms, Variable, make_ring
+from projchar import projclass, surfalg
+from projchar.qpoly import (
+    RationalPoly,
+    SparseTerms,
+    Variable,
+    linear_combination,
+    make_ring,
+)
 from projchar.surfalg import (
     KunnethClass,
     ParamElement,
     ParameterAlgebra,
     SurfaceClass,
     SurfaceRing,
+    k_alpha,
     random_kunneth,
     random_param_element,
 )
 
-from oracles import kunneth_product_by_parts
+from oracles import kunneth_product_by_parts, linear_combination_by_addition
 
 GENS = (("v1", 1), ("v2", 1), ("u1", 2), ("u2", 2))
 
@@ -319,7 +326,8 @@ class TestProduct:
     )
     def test_product_loop_and_make_live_only_in_the_kernel(self, cls):
         assert "_mul" not in vars(cls) and "_make" not in vars(cls)
-        assert "_times" in vars(cls)
+        assert "_product_rows" in vars(cls)
+        assert not any(hasattr(c, "_times") for c in (cls, SparseTerms))
         assert "_mul" in vars(SparseTerms) and "_make" in vars(SparseTerms)
 
     @pytest.mark.parametrize("kind", list(_product_cases()))
@@ -364,26 +372,28 @@ class TestProduct:
 
 
 def _raw_product_pairs(a, b):
-    """Every term pair's product as a (key, coefficient) pair.
+    """Every term pair's product as a (key, coefficient) pair, by the direct rules.
 
     Parameter monomials are summed with the Koszul sign and no truncation,
-    so the public constructor, not `_times`, decides which ones vanish.
+    so the public constructor, not the product memo, decides which ones
+    vanish.  Surface keys multiply by the checked `basis_mul` and exponent
+    vectors add; no product memo is read.
     """
     if isinstance(a, KunnethClass):
         return _pairs(kunneth_product_by_parts(a, b))
+    term_pairs = [
+        (k1, c1, k2, c2) for k1, c1 in a.terms.items() for k2, c2 in b.terms.items()
+    ]
     if isinstance(a, ParamElement):
         sign = a.algebra.koszul_sign
         return [
             (tuple(map(add, e1, e2)), sign(e1, e2) * c1 * c2)
-            for e1, c1 in a.terms.items()
-            for e2, c2 in b.terms.items()
+            for e1, c1, e2, c2 in term_pairs
         ]
-    hits = (
-        a._times(k1, c1, k2, c2)
-        for k1, c1 in a.terms.items()
-        for k2, c2 in b.terms.items()
-    )
-    return [hit for hit in hits if hit is not None]
+    if isinstance(a, SurfaceClass):
+        hits = [(a.ring.basis_mul(k1, k2), c1 * c2) for k1, c1, k2, c2 in term_pairs]
+        return [(hit[1], hit[0] * coef) for hit, coef in hits if hit is not None]
+    return [(tuple(map(add, e1, e2)), c1 * c2) for e1, c1, e2, c2 in term_pairs]
 
 
 def _pairs(element):
@@ -528,7 +538,78 @@ class TestProductMemo:
         if max_degree >= 2:
             assert all(cases.values()) and len(cases) == 3, cases
         for algebra in (first, second):
-            assert len(algebra._product_cache) == len(monos) ** 2
+            rows = algebra._products
+            assert sorted(rows) == sorted(monos)
+            assert sum(len(row) for row in rows.values()) == len(monos) ** 2
+
+
+class TestPairCounts:
+    """Each memo works a pair of term keys out once; polynomial rows keep nothing."""
+
+    @staticmethod
+    def count_pairs(monkeypatch):
+        """Count the Kunneth pairs worked out from now on, by surface genus."""
+        calls = Counter()
+        rule = surfalg._kunneth_pair
+
+        def counted_rule(algebra, ring):
+            pair = rule(algebra, ring)
+
+            def counted(k1, k2):
+                calls[ring.genus] += 1
+                return pair(k1, k2)
+
+            return counted
+
+        monkeypatch.setattr(surfalg, "_kunneth_pair", counted_rule)
+        return calls
+
+    def test_repeated_kunneth_products_work_out_no_pair(self, monkeypatch):
+        calls = self.count_pairs(monkeypatch)
+        algebra, ring = ParameterAlgebra(GENS, 8), SurfaceRing(2)
+        rng = random.Random(600)
+        a, b = (mixed_kunneth(rng, algebra, ring) for _ in range(2))
+        assert calls == Counter()  # building the factors multiplies nothing
+        product = a * b
+        pairs = len(a.terms) * len(b.terms)
+        assert calls == Counter({2: pairs})
+        memo = algebra._kunneth_products[ring]
+        assert sum(len(row) for row in memo.values()) == pairs
+        for _ in range(3):
+            assert a * b == product
+        assert calls == Counter({2: pairs})
+
+    def test_rings_of_different_genus_keep_their_own_rows(self, monkeypatch):
+        calls = self.count_pairs(monkeypatch)
+        algebra, twin = ParameterAlgebra(GENS, 6), ParameterAlgebra(GENS, 6)
+        rings = SurfaceRing(1), SurfaceRing(2)
+        products = []
+        for ring in rings:
+            # the same four term keys in both rings
+            odd = SurfaceClass.alpha(ring, 1) + 2 * SurfaceClass.beta(ring, 1)
+            u1 = KunnethClass.from_param(algebra.gen("u1"), ring)
+            x = KunnethClass.from_surface(algebra, odd) + u1
+            products.append(x * x)
+            assert calls[ring.genus] == len(x.terms) ** 2
+        texts = [p.to_text() for p in products]
+        assert texts == ["(1*u1^2) ⊗ 1 + (2*u1) ⊗ alpha1 + (4*u1) ⊗ beta1"] * 2
+        memos = algebra._kunneth_products
+        assert set(memos) == set(rings)
+        assert memos[rings[0]] is not memos[rings[1]]
+        assert twin._kunneth_products == {}
+
+    def test_polynomial_products_store_nothing(self):
+        ring = make_ring(Variable("x"), Variable("y", 2))
+        p = RationalPoly(ring, {(1, 0): 2, (0, 1): Fraction(-1, 2), (0, 0): 3})
+        square = p * p
+        rows = p._product_rows()
+        assert not hasattr(rows, "__dict__") and type(rows).__slots__ == ()
+        for k1 in p.terms:
+            row = rows[k1]
+            for k2 in p.terms:
+                assert row[k2] == (tuple(map(add, k1, k2)), 1)
+            assert len(row) == 0 and rows[k1] is not row
+        assert p * p == square
 
 
 class TestNoRevalidation:
@@ -553,3 +634,83 @@ class TestNoRevalidation:
         # the wrapper is live: the public constructor still counts
         _public(a, _pairs(a))
         assert calls[type(a).__name__] == len(a.terms)
+
+
+class TestLinearCombination:
+    """The one-pass sum against the running sum by + and *."""
+
+    @staticmethod
+    def cases():
+        """Per kind: (draw a value, zero)."""
+        ring = make_ring(Variable("x"), Variable("y", 2), Variable("z", 3))
+        algebra, surface = ParameterAlgebra(GENS, 6), SurfaceRing(2)
+        keys = list(itertools.product(range(3), repeat=3))
+        return {
+            "Fraction": (_fraction, Fraction(0)),
+            "RationalPoly": (
+                lambda rng: RationalPoly(ring, [(rng.choice(keys), _fraction(rng))]),
+                RationalPoly.zero(ring),
+            ),
+            "KunnethClass": (
+                lambda rng: mixed_kunneth(rng, algebra, surface),
+                KunnethClass.zero(algebra, surface),
+            ),
+        }
+
+    @pytest.mark.parametrize("kind", ["Fraction", "RationalPoly", "KunnethClass"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_running_sum(self, kind, seed):
+        draw, zero = self.cases()[kind]
+        rng = random.Random(700 + seed)
+        values = [draw(rng) for _ in range(6)]
+        pairs = [(rng.choice((-3, 2, 5, Fraction(1, 2))), v) for v in values]
+        pairs.append((Fraction(-1, 2), values[0]))  # a repeated value
+        got = linear_combination(pairs, zero)
+        want = linear_combination_by_addition(pairs, zero)
+        assert type(got) is type(zero) and got == want
+        if kind != "Fraction":
+            assert got.to_text() == want.to_text()
+            assert got._space() == zero._space()
+
+    @pytest.mark.parametrize("kind", ["Fraction", "RationalPoly", "KunnethClass"])
+    def test_a_sum_that_cancels_is_zero(self, kind):
+        draw, zero = self.cases()[kind]
+        rng = random.Random(710)
+        a, b = draw(rng), draw(rng)
+        pairs = [(2, a), (Fraction(1, 3), b), (-1, a), (Fraction(-1, 3), b), (-1, a)]
+        got = linear_combination(iter(pairs), zero)
+        assert got == zero == linear_combination_by_addition(pairs, zero)
+        if kind != "Fraction":
+            assert got.terms == {} and got.to_text() == "0"
+
+    def test_integral_coefficients_are_ints(self):
+        ring = make_ring(Variable("x"), Variable("y"))
+        half = Fraction(1, 2)
+        p = RationalPoly(ring, {(1, 0): 1, (0, 1): Fraction(3, 2), (0, 0): 5})
+        q = RationalPoly(ring, {(1, 0): half, (0, 1): half})
+        got = linear_combination([(half, p), (3, q), (half, p)], RationalPoly.zero(ring))
+        assert got.terms == {(1, 0): Fraction(5, 2), (0, 1): 3, (0, 0): 5}
+        assert {e: type(c) for e, c in got.terms.items()} == {
+            (1, 0): Fraction,
+            (0, 1): int,
+            (0, 0): int,
+        }
+        # the running sum keeps what + returns there: a Fraction equal to 3
+        running = linear_combination_by_addition([(half, p), (3, q), (half, p)], p * 0)
+        assert running == got and type(running.terms[0, 1]) is Fraction
+        algebra, surface = ParameterAlgebra(GENS, 6), SurfaceRing(1)
+        k = KunnethClass.from_surface(algebra, SurfaceClass.alpha(surface, 1) * half)
+        # 1/2*alpha1 taken 1 + 1/2*2 + 2 times: the coefficient 2 is an int
+        four = linear_combination([(1, k), (half, 2 * k), (Fraction(2), k)], k * 0)
+        assert four.terms == {(k_alpha(1), (0, 0, 0, 0)): 2}
+        assert [type(c) for c in four.terms.values()] == [int]
+
+    def test_scalars_join_kernel_sums_and_strangers_raise(self):
+        ring = make_ring(Variable("x"))
+        x = RationalPoly.gen(ring, Variable("x"))
+        got = linear_combination([(2, x), (3, Fraction(1, 3)), (1, 4)], x * 0)
+        assert got.terms == {(1,): 2, (0,): 5}
+        with pytest.raises(ValueError, match="^ring mismatch$"):
+            linear_combination([(1, x), (1, RationalPoly.zero(ring + (Variable("w"),)))], x)
+        with pytest.raises(TypeError, match="cannot add str to RationalPoly"):
+            linear_combination([(1, "x")], x)

@@ -423,9 +423,13 @@ class TestFlatTerms:
             for key in ring.basis
             for m in monos
         ]
-        for a in terms:
-            for b in terms:
-                assert a * b == kunneth_product_by_parts(a, b), (a, b)
+        for _ in range(2):  # the second pass reads what the first one kept
+            for a in terms:
+                for b in terms:
+                    assert a * b == kunneth_product_by_parts(a, b), (a, b)
+        memo = alg._kunneth_products[ring]
+        assert len(memo) == len(terms)
+        assert sum(len(row) for row in memo.values()) == len(terms) ** 2
 
     def test_arithmetic_builds_no_param_element_and_checks_no_key(self, monkeypatch):
         alg, ring = algebra(), SurfaceRing(2)
@@ -437,15 +441,17 @@ class TestFlatTerms:
             )
             for _ in range(2)
         )
-        assert not (a * b).is_zero()  # builds the ring's table of basis products
         calls = count_calls(
             monkeypatch,
             (ParamElement, "__init__"),
             (ParamElement, "_make"),
             (SurfaceRing, "check_key"),
         )
+        # the product memos of the ring, the algebra and the pair fill here
+        assert "_products" not in vars(ring) and "_products" not in vars(alg)
         results = [a * b, a + b, 3 * a, a**3]
         assert calls == Counter(), calls
+        assert ring._products and alg._products and alg._kunneth_products[ring]
         assert all(results) and all(type(r) is KunnethClass for r in results)
         # the counters are live: parts builds ParamElements, part checks its key
         a.part(K_ONE)
