@@ -19,8 +19,8 @@ that check, the term order and the text grammar ("0" or terms joined by
 " + " in that order), the product loop, scalar coercion, +, -, negation,
 scalar *, ** by square-and-multiply, == and repr.  Each type supplies its
 key and coefficient check, its order key, the text of one term, the rows
-of its key products (here exponent sums, worked out on each use), two
-one-line hooks and the names of the slots a result shares with its
+of its key products (here exponent sums, worked out for each product),
+two one-line hooks and the names of the slots a result shares with its
 operand.  `ProductRows` is the memo of key products that the other three
 types keep, one per space object.  `linear_combination` sums
 coefficient * element pairs into one element in one pass.
@@ -126,13 +126,14 @@ class SparseTerms:
     - `_order`: the sort key of a term key (None: the key itself), with
       `_descending` choosing the direction; only `_ordered_keys` calls it;
     - `_term_text(key, coef)`: the text of one term, for `to_text`;
-    - `_product_rows()`: the rows of key products, where `rows[k1][k2]`
-      is the product of the terms k1 and k2 with coefficient 1 as
-      (key, sign), sign 1 or -1, or None when it is zero in the space
-      (`_entry` never sees the key, so the rows apply any truncation
-      themselves); `_mul` reads one entry per pair of terms and multiplies
-      the coefficients itself.  A `ProductRows` keeps every entry it works
-      out; the rows of `RationalPoly` keep none;
+    - `_product_rows(other)`: the rows of key products for the product
+      with `other`, where `rows[k1][k2]` is the product of the terms k1
+      and k2 with coefficient 1 as (key, sign), sign 1 or -1, or None when
+      it is zero in the space (`_entry` never sees the key, so the rows
+      apply any truncation themselves); `_mul` reads one entry per pair of
+      terms and multiplies the coefficients itself.  A `ProductRows` keeps
+      every entry it works out; the rows of `RationalPoly` are built for
+      one product and keep nothing;
     - `_space()`: the constructor's arguments before the terms, as a tuple;
       operands from different spaces raise `ValueError` with `_mismatch`;
       `_shared` names the slots a result copies from its operand;
@@ -194,18 +195,17 @@ class SparseTerms:
 
     def _mul(self, other: Any) -> Any:
         """The product with an element of the same space, term by term."""
-        rows = self._product_rows()
+        rows = self._product_rows(other)
         right = other.terms.items()
         acc: dict = {}
         get = acc.get
         for k1, c1 in self.terms.items():
             row = rows[k1]
-            minus = -c1
             for k2, c2 in right:
                 hit = row[k2]
                 if hit is not None:
                     key, sign = hit
-                    coef = (c1 if sign > 0 else minus) * c2
+                    coef = c1 * c2 if sign > 0 else -c1 * c2
                     old = get(key)
                     acc[key] = coef if old is None else old + coef
         return self._make(acc)
@@ -338,31 +338,20 @@ class _MemoRow(dict):
 
 
 class _ExponentSums:
-    """The rows of monomial products, which keep nothing.
+    """The rows of monomial products for one product, which keep nothing.
 
     Pairs of polynomial terms rarely repeat, so a memo would only add
-    memory: each lookup sums the exponents again.
+    memory.  Each row is built when the loop reaches its left exponents,
+    over the right factor's exponents, and dropped after it.
     """
 
-    __slots__ = ()
+    __slots__ = ("_right",)
 
-    def __getitem__(self, left: Exponents) -> "_ExponentRow":
-        return _ExponentRow(left)
+    def __init__(self, right: Mapping) -> None:
+        self._right = right
 
-
-class _ExponentRow(dict):
-    """An empty row: every lookup misses and returns (e1 + e2, 1)."""
-
-    __slots__ = ("_left",)
-
-    def __init__(self, left: Exponents) -> None:
-        self._left = left
-
-    def __missing__(self, right: Exponents) -> tuple[Exponents, int]:
-        return tuple(map(add, self._left, right)), 1
-
-
-_EXPONENT_SUMS = _ExponentSums()
+    def __getitem__(self, left: Exponents) -> dict:
+        return {e: (tuple(map(add, left, e)), 1) for e in self._right}
 
 
 def linear_combination(pairs: Iterable[tuple[Any, Any]], zero: Any) -> Any:
@@ -468,8 +457,8 @@ class RationalPoly(SparseTerms):
     def _term_text(self, exps: Exponents, coef: Fraction) -> str:
         return "*".join([format_fraction(coef), *self._factors(exps)])
 
-    def _product_rows(self) -> _ExponentSums:
-        return _EXPONENT_SUMS
+    def _product_rows(self, other: "RationalPoly") -> _ExponentSums:
+        return _ExponentSums(other.terms)
 
     def _space(self) -> tuple[Ring]:
         return (self.ring,)

@@ -190,7 +190,7 @@ class SurfaceClass(SparseTerms):
         head = format_fraction(coef)
         return head if key == K_ONE else f"{head}*{self.ring.name(key)}"
 
-    def _product_rows(self) -> ProductRows:
+    def _product_rows(self, other: "SurfaceClass") -> ProductRows:
         return self.ring._products
 
     def _space(self) -> tuple[SurfaceRing]:
@@ -429,7 +429,7 @@ class ParamElement(SparseTerms):
                 factors.append(f"{name}^{e}")
         return "*".join(factors)
 
-    def _product_rows(self) -> ProductRows:
+    def _product_rows(self, other: "ParamElement") -> ProductRows:
         return self.algebra._products
 
     def _space(self) -> tuple[ParameterAlgebra]:
@@ -543,7 +543,7 @@ class KunnethClass(SparseTerms):
     def _term_text(self, key: BasisKey, elt: ParamElement) -> str:
         return f"({elt.to_text()}) ⊗ {self.ring.name(key)}"
 
-    def _product_rows(self) -> ProductRows:
+    def _product_rows(self, other: "KunnethClass") -> ProductRows:
         memos = self.algebra._kunneth_products
         rows = memos.get(self.ring)
         if rows is None:

@@ -602,13 +602,14 @@ class TestPairCounts:
         ring = make_ring(Variable("x"), Variable("y", 2))
         p = RationalPoly(ring, {(1, 0): 2, (0, 1): Fraction(-1, 2), (0, 0): 3})
         square = p * p
-        rows = p._product_rows()
-        assert not hasattr(rows, "__dict__") and type(rows).__slots__ == ()
+        rows = p._product_rows(p)
+        # the rows hold only the right factor's terms, and build each row anew
+        assert not hasattr(rows, "__dict__") and type(rows).__slots__ == ("_right",)
+        assert rows._right is p.terms
         for k1 in p.terms:
             row = rows[k1]
-            for k2 in p.terms:
-                assert row[k2] == (tuple(map(add, k1, k2)), 1)
-            assert len(row) == 0 and rows[k1] is not row
+            assert row == {k2: (tuple(map(add, k1, k2)), 1) for k2 in p.terms}
+            assert rows[k1] is not row
         assert p * p == square
 
 
