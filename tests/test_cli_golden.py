@@ -46,6 +46,20 @@ DOCUMENTS = {
     "malformed.txt": "n = 2\nthis line has no equals sign\n",
 }
 
+# z2*z4 - 2*z3^2 + z2^3 at rank 5, and the same plus z6 at rank 6, in the c_i
+INVARIANT_WEIGHT_6 = {
+    5: (
+        "-1650*c1^6 + 12375*c1^4*c2 + -7500*c1^3*c3 + -28125*c1^2*c2^2"
+        " + -6250*c1^2*c4 + 31250*c1*c2*c3 + 15625*c2^3 + 15625*c2*c4"
+        " + -31250*c3^2"
+    ),
+    6: (
+        "-5905*c1^6 + 42516*c1^4*c2 + -25056*c1^3*c3 + -92016*c1^2*c2^2"
+        " + -18144*c1^2*c4 + 101088*c1*c2*c3 + -7776*c1*c5 + 46656*c2^3"
+        " + 46656*c2*c4 + -93312*c3^2 + 46656*c6"
+    ),
+}
+
 # each entry runs once as written and once with --json appended
 INVOCATIONS = [
     ["zbasis", "2", "2"],
@@ -79,6 +93,10 @@ INVOCATIONS = [
         "aclass", "5", "--set", "c1=-2*c1",
         "--set", "c3=1*c1*c2 + 1/3*c3", "--set", "c5=1*c1^2*c3",
     ],
+    [
+        "aclass", "4", "--set", "c1=-1*c1", "--set", "c2=1*c1^2 + 1*c2",
+        "--set", "c3=1/2*c1*c2 + 1*c3", "--set", "c4=1*c2^2 + -1*c1*c3 + 2*c4",
+    ],
     ["end-chern", "2", "2"],
     ["end-chern", "3", "2"],
     ["end-chern", "3", "3"],
@@ -105,6 +123,12 @@ INVOCATIONS = [
     ["invariance-check", "2", "1*c3"],
     ["invariance-check", "2", "("],
     ["invariance-check", "0", "1"],
+    # an invariant weight-6 class at ranks 5 and 6, then perturbed by c2^3
+    ["invariance-check", "5", INVARIANT_WEIGHT_6[5]],
+    ["invariance-check", "5", INVARIANT_WEIGHT_6[5] + " + 1*c2^3"],
+    ["invariance-check", "6", INVARIANT_WEIGHT_6[6]],
+    ["invariance-check", "6", INVARIANT_WEIGHT_6[6] + " + 1*c2^3"],
+    ["invariance-check", "2", "1*c2^30"],
     ["hom-flag", "1", "2", "2"],
     ["hom-flag", "2", "2", "3"],
     ["hom-flag", "3", "4", "6"],
