@@ -50,8 +50,8 @@ from .qpoly import (
     Variable,
     elementary_symmetric_all,
     express_in_elementary,
+    _evaluate_all,
     first_difference,
-    linear_combination,
     linear_solve,
     make_ring,
 )
@@ -258,13 +258,12 @@ def a_classes(
     graded type of the package has.  Missing trailing values are zero.  Rank 1
     has no canonical classes.
 
-    Each a_k is z_k(c) read from the rank's `ChernRing`, whose every term
-    is an integer times c_1^a and at most one c_i (i >= 2) to the first
-    power.  The powers c_1^2..c_1^n are built once, by successive products,
-    and shared by all the z_k, so a call makes n(n-1)/2 products in the
-    coefficient ring: n-1 for the powers and one per term c_1^a * c_i.
-    Each a_k is then `linear_combination` of its terms: for the package's
-    element types one pass into one sum, with no element per term.
+    All the z_k(c) of the rank's `ChernRing` are evaluated over one power
+    table: power 1 is the value, and power e is power e-1 times the value
+    when power e-1 is at hand, else value ** e.  A z_k term is c_1^a times
+    at most one c_i (i >= 2), and c_1^2..c_1^n are all used, so a call makes
+    n(n-1)/2 products in the coefficient ring: n-1 for the powers of c_1 and
+    one per term c_1^a * c_i.  Each a_k is one `linear_combination`.
 
     Every value's degree is checked here.  A caller that has already checked
     exactly `rank` values, as `surfalg.canonicality_check` has, evaluates
@@ -288,21 +287,7 @@ def a_classes(
 
 def _a_classes_of(rank: int, values: Sequence[Any], zero: Any) -> list[Any]:
     """a_2..a_rank at exactly `rank` Chern values, trusted to have degrees 2i."""
-    c1_powers = [None, values[0]]
-    for _ in range(2, rank + 1):
-        c1_powers.append(c1_powers[-1] * values[0])
-    out = []
-    for z in chern_ring(rank)._z_in_c.values():
-        pairs = []
-        for exps, coef in z.terms.items():
-            factor = c1_powers[exps[0]]
-            for value, e in zip(values[1:], exps[1:]):
-                if e:
-                    piece = value**e
-                    factor = piece if factor is None else factor * piece
-            pairs.append((coef, factor))
-        out.append(linear_combination(pairs, zero))
-    return out
+    return _evaluate_all([*chern_ring(rank)._z_in_c.values()], values, zero)
 
 
 # -- endomorphism and Hom bundles -----------------------------------------------
@@ -344,10 +329,9 @@ def _check_end_classes(n: int, es: Sequence[RationalPoly]) -> None:
     """
     roots = [Fraction(i * i) for i in range(n)]
     ys = [n * x - sum(roots) for x in roots]
-    z_values = dict(zip(chern_ring(n).z_ring, _fraction_esp(ys)[2:]))
+    zs = _fraction_esp(ys)[2:]
     expected = _fraction_esp([a - b for a in roots for b in roots])
-    for j in range(1, n * n + 1):
-        got = es[j].evaluate(z_values)
+    for j, got in enumerate(_evaluate_all(es[1:], zs, Fraction(0)), start=1):
         if got != expected[j]:
             raise RuntimeError(
                 f"End class c_{j} for rank n={n} failed its root check at x_i = i^2:"

@@ -23,8 +23,9 @@ of its key products (here exponent sums, worked out for each product),
 two one-line hooks and the names of the slots a result shares with its
 operand.  `ProductRows` is the memo of key products that the other three
 types keep, one per space object.  `linear_combination` sums
-coefficient * element pairs into one element in one pass.
-`substitute` is `evaluate` into a target ring that its caller names.
+coefficient * element pairs into one element in one pass; `evaluate`
+is one such sum over one power table, and `substitute` is `evaluate` into
+a target ring that its caller names.
 
 The module also carries `elementary_symmetric_all`, every e_k of a list
 of ring elements in one pass, which the Hom classes of flags are built
@@ -493,15 +494,13 @@ class RationalPoly(SparseTerms):
         target = make_ring(*target_ring)
         if any(img.ring != target for img in bindings.values()):
             raise ValueError("image ring differs from the target ring")
-        values = dict(bindings)
+        values = [bindings.get(v) for v in self.ring]
         for pos, v in enumerate(self.ring):
-            if v in bindings:
-                continue
-            if v in target:
-                values[v] = RationalPoly.gen(target, v)
-            elif any(exps[pos] for exps in self.terms):
+            if values[pos] is None and v in target:
+                values[pos] = RationalPoly.gen(target, v)
+            elif values[pos] is None and any(exps[pos] for exps in self.terms):
                 raise ValueError(f"unbound variable {v.name!r} is missing from the target ring")
-        return self.evaluate(values, zero=RationalPoly.zero(target))
+        return _evaluate_all([self], values, RationalPoly.zero(target))[0]
 
     def evaluate(self, values: Mapping[Variable, Any], zero: Any = Fraction(0)) -> Any:
         """Evaluate in an arbitrary commutative coefficient ring.
@@ -510,24 +509,7 @@ class RationalPoly(SparseTerms):
         Fraction.  Every variable that occurs with a positive exponent needs
         a value.
         """
-        total = zero
-        powers: dict[tuple[int, int], Any] = {}
-        for exps, coef in self.terms.items():
-            factor = None
-            for pos, e in enumerate(exps):
-                if not e:
-                    continue
-                v = self.ring[pos]
-                if v not in values:
-                    raise ValueError(f"no value supplied for {v.name!r}")
-                piece = powers.get((pos, e))
-                if piece is None:
-                    piece = values[v] ** e
-                    powers[(pos, e)] = piece
-                factor = piece if factor is None else factor * piece
-            term = coef if factor is None else coef * factor
-            total = total + term
-        return total
+        return _evaluate_all([self], [values.get(v) for v in self.ring], zero)[0]
 
     # -- serialization ------------------------------------------------------
 
@@ -540,6 +522,36 @@ class RationalPoly(SparseTerms):
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+def _evaluate_all(polys: Sequence[RationalPoly], values: Sequence, zero: Any) -> list:
+    """The polynomials, all over one ring, at `values`: one per variable, in
+    ring order, None for none.  Power 1 is the value; each higher power that
+    a term uses is built once, ascending: power e is power e-1 times the
+    value when power e-1 is at hand, else `value ** e`.  A term costs one
+    product per variable after its first, and each polynomial is one
+    `linear_combination` into `zero`.
+    """
+    ring, tables = polys[0].ring if polys else (), []
+    for v, value, col in zip(ring, values, zip(*[e for p in polys for e in p.terms])):
+        if value is None and any(col):
+            raise ValueError(f"no value supplied for {v.name!r}")
+        table = {1: value}
+        for e in sorted(set(col) - {0, 1}):
+            table[e] = table[e - 1] * value if e - 1 in table else value**e
+        tables.append(table)
+
+    out = []
+    for p in polys:
+        pairs = []
+        for exps, coef in p.terms.items():
+            factor = None
+            for t, e in zip(tables, exps):
+                if e:
+                    factor = t[e] if factor is None else factor * t[e]
+            pairs.append((coef, 1 if factor is None else factor))
+        out.append(linear_combination(pairs, zero))
+    return out
 
 
 _COEF_RE = re.compile(r"[+-]?\d+(?:/\d+)?")

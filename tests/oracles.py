@@ -3,9 +3,11 @@
 Each oracle takes the long way round where the library uses a closed
 form: the root ring x_1..x_n in place of the twist identity, a general
 span search over products of End classes in place of the parity argument
-behind `surjectivity_witness`, a generic polynomial evaluation of each
-z_k(c) in place of the shared c_1 powers of `a_classes`, a running sum
-by + and * in place of the one-pass `linear_combination`, and a Kunneth
+behind `surjectivity_witness`, an evaluation term by term, each power of
+a value by ** and the terms added one at a time, in place of the shared
+power table and the one-pass sums behind `RationalPoly.evaluate`,
+`substitute` and `a_classes`, a running sum by + and * in place of the
+one-pass `linear_combination`, and a Kunneth
 product written out part by part, over ParamElements, in place of the flat
 (surface key, monomial) terms of `KunnethClass` and their product memo.  Newstead's closed
 form for the Betti numbers of the rank-2 moduli space is an outside bound
@@ -90,8 +92,33 @@ def expand_to_roots(ring, poly):
     return poly.substitute(bindings, target_ring=root_ring(ring))
 
 
+def evaluate_by_terms(poly, values, zero=Fraction(0)):
+    """poly at the values, term by term, with a running sum.
+
+    Each (variable, exponent) pair is raised once by ** and kept; each term
+    is the product of its powers times its coefficient, added to the total
+    by +.  Every variable with a positive exponent needs a value.
+    """
+    total = zero
+    powers = {}
+    for exps, coef in poly.terms.items():
+        factor = None
+        for pos, e in enumerate(exps):
+            if not e:
+                continue
+            v = poly.ring[pos]
+            if v not in values:
+                raise ValueError(f"no value supplied for {v.name!r}")
+            piece = powers.get((pos, e))
+            if piece is None:
+                piece = powers[(pos, e)] = values[v] ** e
+            factor = piece if factor is None else factor * piece
+        total = total + (coef if factor is None else coef * factor)
+    return total
+
+
 def a_classes_by_evaluation(rank, chern_values, zero=Fraction(0)):
-    """a_2..a_rank as `RationalPoly.evaluate` of each z_k(c) at the values.
+    """a_2..a_rank as `evaluate_by_terms` of each z_k(c) at the values.
 
     Every z_k is evaluated on its own, with its own powers of the values;
     missing trailing values are zero.  The inputs are not checked.
@@ -100,7 +127,7 @@ def a_classes_by_evaluation(rank, chern_values, zero=Fraction(0)):
     values = list(chern_values)
     values += [zero] * (rank - len(values))
     assignment = dict(zip(ring.c_ring, values))
-    return [z.evaluate(assignment, zero=zero) for z in ring._z_in_c.values()]
+    return [evaluate_by_terms(z, assignment, zero) for z in ring._z_in_c.values()]
 
 
 def linear_combination_by_addition(pairs, zero):

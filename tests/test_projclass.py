@@ -70,7 +70,8 @@ class CountedRational:
     """A rational that counts, in a shared tally, its products with its own kind.
 
     Products by a plain int or Fraction are scalar multiples and are not
-    counted; a power counts its repeated products.
+    counted; a power counts its repeated products, and each call of ** with
+    exponent e counts once under "**e".
     """
 
     def __init__(self, value, tally):
@@ -88,6 +89,7 @@ class CountedRational:
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
+        self.tally[f"**{exponent}"] += 1
         result = self
         for _ in range(exponent - 1):
             result = result * self
@@ -576,6 +578,26 @@ class TestAClasses:
         assert tally["products"] == rank * (rank - 1) // 2
         plain = [Fraction(i, 3) for i in range(1, rank + 1)]
         assert [a.value for a in got] == a_classes(rank, plain)
+
+    @pytest.mark.parametrize(
+        "text, counts",
+        [
+            # dense: x^2..x^4 each one product from the power below
+            ("1*x + 1*x^2 + 1*x^3 + 1*x^4", {"products": 3}),
+            # a lone sparse power goes through ** and keeps no lower power
+            ("1*x^64", {"**64": 1, "products": 63}),
+            # x^2, x^3 from below, x^10 by **, and one product for x^3*y
+            ("1*x + 1*x^2 + 2*x^3 + 1*x^10 + 1*x^3*y", {"**10": 1, "products": 12}),
+        ],
+    )
+    def test_power_rule(self, text, counts):
+        ring = make_ring(Variable("x"), Variable("y"))
+        p = parse_poly(text, ring)
+        tally = Counter()
+        values = dict(zip(ring, (CountedRational(Fraction(k, 3), tally) for k in (2, 5))))
+        got = p.evaluate(values, zero=CountedRational(Fraction(0), tally))
+        assert tally == Counter(counts)
+        assert got.value == p.evaluate({v: c.value for v, c in values.items()})
 
 
 class TestEndClasses:

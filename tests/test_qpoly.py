@@ -1,5 +1,6 @@
 """Polynomial core: canonical form, arithmetic, symmetric functions, solver."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,14 @@ from projchar.qpoly import (
     parse_fraction,
     parse_poly,
 )
+from projchar.surfalg import (
+    KunnethClass,
+    ParameterAlgebra,
+    SurfaceRing,
+    random_kunneth,
+)
 
-from oracles import elementary_symmetric
+from oracles import elementary_symmetric, evaluate_by_terms
 
 X = Variable("x")
 Y = Variable("y", 2)
@@ -220,6 +227,50 @@ class TestSubstituteEvaluate:
         p = RationalPoly.gen(RING, Z)
         with pytest.raises(ValueError):
             p.evaluate({X: Fraction(1)})
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_evaluate_and_substitute_match_the_term_by_term_oracle(self, seed):
+        rng = random.Random(seed)
+        # dense and sparse exponents of x and z, a constant term, and y only
+        # at exponent 0, so that y needs no value
+        terms = {
+            (rng.randint(0, 9), 0, rng.randint(0, 5)): rng.randint(-4, 4)
+            for _ in range(6)
+        }
+        terms[(0, 0, 0)] = Fraction(rng.randint(1, 9), 2)
+        p = RationalPoly(RING, terms)
+        target = make_ring(Variable("w"), Variable("u", 2))
+        algebra = ParameterAlgebra((("v1", 1), ("v2", 1), ("u1", 2)), 6)
+        surface = SurfaceRing(1)
+        kinds = [
+            (lambda: Fraction(rng.randint(-5, 5), 3), Fraction(0)),
+            (
+                lambda: RationalPoly(target, {(1, 0): rng.randint(-2, 2), (0, 1): 1}),
+                RationalPoly.zero(target),
+            ),
+            (
+                lambda: random_kunneth(rng, algebra, surface, 2),
+                KunnethClass.zero(algebra, surface),
+            ),
+        ]
+        for draw, zero in kinds:
+            values = {X: draw(), Z: draw()}
+            got = p.evaluate(values, zero=zero)
+            want = evaluate_by_terms(p, values, zero=zero)
+            assert got == want
+            assert type(got) is type(zero)
+            assert str(got) == str(want)
+        images = {X: kinds[1][0](), Z: kinds[1][0]()}  # y passes through unbound
+        out = p.substitute(images, target_ring=target)
+        want = evaluate_by_terms(p, images, zero=RationalPoly.zero(target))
+        assert out == want
+        assert out.to_text() == want.to_text()
+        # once y occurs, both name it
+        q = p + parse_poly("1*x^2*y", RING)
+        for evaluate in (q.evaluate, lambda v: evaluate_by_terms(q, v)):
+            with pytest.raises(ValueError) as exc:
+                evaluate({X: Fraction(2), Z: Fraction(1)})
+            assert str(exc.value) == "no value supplied for 'y'"
 
 
 class TestTextFormat:
