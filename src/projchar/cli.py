@@ -269,7 +269,9 @@ def _cmd_universal_bundle(args: argparse.Namespace) -> CommandOutput:
     params = univdet.parse_moduli_params(_read_document(args.params))
     report = univdet.check_conditions(params)
     satisfied = list(report.satisfied)
-    if not satisfied:
+    if not satisfied and not args.condition:
+        if args.witness:
+            raise ValueError(f"--witness {args.witness}: no condition is satisfied")
         return CommandOutput(
             {"satisfied": [], "condition": None, "word": None, "weight": None},
             ["no coprimality condition holds; no weight-1 word exists here"],

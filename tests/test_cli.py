@@ -250,6 +250,32 @@ class TestUniversalBundle:
         assert code == 0
         assert out == "satisfied: none\n"
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (
+                ["--condition", "C2"],
+                "error: condition C2 is not satisfied by these parameters\n",
+            ),
+            (
+                ["--condition", "C1", "--witness", "x,1"],
+                "error: condition C1 is not satisfied by these parameters\n",
+            ),
+            (
+                ["--witness", "x,1"],
+                "error: --witness x,1: no condition is satisfied\n",
+            ),
+        ],
+    )
+    def test_flags_without_a_satisfied_condition_are_refused(
+        self, capsys, tmp_path, flags, message, json_flag
+    ):
+        doc = tmp_path / "params.txt"
+        doc.write_text(EMPTY_CONDITIONS_DOC)
+        code, out, err = run(capsys, "universal-bundle", str(doc), *flags, *json_flag)
+        assert (code, out, err) == (1, "", message)
+
     def test_explicit_condition_and_witness(self, capsys, tmp_path):
         doc = tmp_path / "params.txt"
         doc.write_text(PARABOLIC_DOC)

@@ -162,6 +162,8 @@ INVOCATIONS = [
     ["universal-bundle", "two_points.txt"],
     ["universal-bundle", "two_points.txt", "--condition", "C3"],
     ["universal-bundle", "no_condition.txt"],
+    ["universal-bundle", "no_condition.txt", "--condition", "C2"],
+    ["universal-bundle", "no_condition.txt", "--witness", "x,1"],
     ["universal-bundle", "rank_three.txt", "--witness", "nosuch,1"],
     ["universal-bundle", "parabolic.txt", "--witness", "x"],
     ["universal-bundle", "parabolic.txt", "--condition", "C2", "--witness", "x,y"],
