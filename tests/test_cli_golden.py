@@ -103,6 +103,8 @@ INVOCATIONS = [
     ["end-chern", "3", "6"],
     ["end-chern", "4", "4"],
     ["end-chern", "5", "10"],
+    ["end-chern", "6", "30"],
+    ["end-chern", "6", "20"],
     ["end-chern", "0", "1"],
     ["end-chern", "2", "0"],
     ["end-chern", "2", "5"],
@@ -111,6 +113,7 @@ INVOCATIONS = [
     ["end-in-a", "3", "6"],
     ["end-in-a", "4", "6"],
     ["end-in-a", "5", "12"],
+    ["end-in-a", "6", "30"],
     ["end-in-a", "0", "1"],
     ["end-in-a", "2", "0"],
     ["end-in-a", "3", "10"],
