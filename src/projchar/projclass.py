@@ -24,9 +24,9 @@ they are computed from the y_i with no root ring: Newton's identities give
 the power sums p_m of the y_i from e_1 = 0, e_k = z_k; the roots
 y_a - y_b = n*(x_a - x_b) have power sums
 sum_i (-1)^(m-i) C(m,i) p_i p_{m-i}; Newton's identities turn those back
-into n^j * c_j(End) in the z_k, and one division by n^j at the end gives
-c_j(End), which expands once through z_k(c) into the c_i.  Each rank's
-classes are spot-checked at fixed integer roots.  Whether they generate
+into n^j * c_j(End) in the z_k, with a checked division by j.  Those stay
+integral, are checked at fixed integer roots, and each answer divides by
+n^j once, `end_chern` after expanding through z_k(c).  Whether they generate
 has a closed form as well: End is self-dual, so its odd classes vanish and
 no product of End classes reaches z_3.  Hom bundles of flags take all e_j
 of their root differences at once, cached per pair of root sets.  The
@@ -122,7 +122,7 @@ class ReductionData:
 
     n: int
     k: int
-    lam: Fraction
+    lam: int
     P: RationalPoly
 
 
@@ -224,7 +224,7 @@ def lambda_p(n: int, k: int) -> ReductionData:
     P = -math.comb(n, k) * c1**k
     for i, a in enumerate(a_vars, start=2):
         P = P - math.comb(n - i, k - i) * c1 ** (k - i) * RationalPoly.gen(p_ring, a)
-    lam = Fraction(n) ** k
+    lam = n**k
     bindings = {c1_var: RationalPoly.gen(ring.c_ring, c1_var)}
     bindings.update(zip(a_vars, ring._z_in_c.values()))
     ck = RationalPoly.gen(ring.c_ring, ring.c_ring[k - 1])
@@ -313,29 +313,22 @@ def _y_power_sums(n: int) -> list[RationalPoly]:
     return p
 
 
-def _fraction_esp(values: Sequence[Fraction]) -> list[Fraction]:
-    es = [Fraction(1)] + [Fraction(0)] * len(values)
-    for count, v in enumerate(values, start=1):
-        for k in range(count, 0, -1):
-            es[k] += v * es[k - 1]
-    return es
-
-
 def _check_end_classes(n: int, es: Sequence[RationalPoly]) -> None:
-    """Evaluate each e_j(End) at the roots x_i = i^2 against a direct count.
+    """Evaluate each n^j * e_j(End) at the roots x_i = i^2 against a direct count.
 
     The z-values are e_k of the difference roots y_i = n*x_i - sum(x); the
-    reference is e_j of the n^2 root differences x_a - x_b in Fraction.
+    reference is e_j of the n^2 integers y_a - y_b = n*(x_a - x_b).
     """
-    roots = [Fraction(i * i) for i in range(n)]
+    roots = [i * i for i in range(n)]
     ys = [n * x - sum(roots) for x in roots]
-    zs = _fraction_esp(ys)[2:]
-    expected = _fraction_esp([a - b for a in roots for b in roots])
-    for j, got in enumerate(_evaluate_all(es[1:], zs, Fraction(0)), start=1):
+    zs = elementary_symmetric_all(ys, 1)[2:]
+    expected = elementary_symmetric_all([a - b for a in ys for b in ys], 1)
+    for j, got in enumerate(_evaluate_all(es[1:], zs, 0), start=1):
         if got != expected[j]:
             raise RuntimeError(
                 f"End class c_{j} for rank n={n} failed its root check at x_i = i^2:"
-                f" {got} from the power sums against {expected[j]} from the roots"
+                f" {got} from the power sums against {expected[j]} from the roots,"
+                f" both scaled by {n}^{j}"
             )
 
 
@@ -352,19 +345,19 @@ def _divide_exactly(n: int, j: int, acc: RationalPoly) -> RationalPoly:
             f"End class c_{j} for rank n={n}: the term {acc._term_text(exps, terms[exps])}"
             f" of {j}*e_{j} is not divisible by {j}"
         )
-    return acc / j
+    return acc._make({e: c // j for e, c in terms.items()})
 
 
 @lru_cache(maxsize=None)
 def _end_classes(n: int) -> tuple[RationalPoly, ...]:
-    """e_0..e_{n^2} of End, in the z_k, by power sums of the y_i.
+    """n^j * c_j(End) for j = 0..n^2, in the z_k with integer coefficients.
 
     The roots y_a - y_b = n*(x_a - x_b) have power sums
-    P_m = sum_i (-1)^(m-i) C(m,i) p_i p_{m-i}, zero for odd m, and Newton's
-    identities j*e_j = sum_{i=1..j} (-1)^(i-1) e_{j-i} P_i turn them back
-    into their elementary classes n^j * c_j(End), so the odd classes vanish
-    too.  The division by j is exact over Z and checked; each class is
-    divided by n^j once, at the end.
+    P_m = sum_i (-1)^(m-i) C(m,i) p_i p_{m-i} of the y-power sums p_i, zero
+    for odd m, and Newton's identities j*e_j = sum_{i=1..j} (-1)^(i-1)
+    e_{j-i} P_i turn them back into their elementary classes n^j * c_j(End),
+    so the odd classes vanish too.  The division by j is exact over Z and
+    checked; the division by n^j is left to each answer.
     """
     ring = chern_ring(n)
     zero = RationalPoly.zero(ring.z_ring)
@@ -381,7 +374,6 @@ def _end_classes(n: int) -> tuple[RationalPoly, ...]:
         for i in range(2, j + 1, 2):
             acc = acc - es[j - i] * P[i]
         es[j] = _divide_exactly(n, j, acc)
-    es = [e / n**j for j, e in enumerate(es)]
     _check_end_classes(n, es)
     return tuple(es)
 
@@ -396,16 +388,16 @@ def _end_ring(n: int, j: int) -> ChernRing:
 def end_chern(n: int, j: int) -> RationalPoly:
     """c_j of the endomorphism bundle: e_j of the n^2 differences x_a - x_b.
 
-    It is the class of `end_in_a` expanded once through z_k(c).
+    The cached n^j * c_j(End) expands through z_k(c), then divides by n^j once.
     """
     ring = _end_ring(n, j)
-    return _end_classes(n)[j].substitute(ring._z_in_c, target_ring=ring.c_ring)
+    return _end_classes(n)[j].substitute(ring._z_in_c, target_ring=ring.c_ring) / n**j
 
 
 def end_in_a(n: int, j: int) -> RationalPoly:
-    """The endomorphism class c_j(End) in the canonical z-generators."""
+    """c_j(End) in the canonical z-generators: the cached n^j * c_j(End) / n^j."""
     _end_ring(n, j)
-    return _end_classes(n)[j]
+    return _end_classes(n)[j] / n**j
 
 
 def surjectivity_witness(n: int) -> bool:
@@ -432,7 +424,7 @@ def _hom_esp(
     s_gens = [RationalPoly.gen(ring, v) for v in sub_roots]
     t_gens = [RationalPoly.gen(ring, v) for v in target_roots]
     roots = [t - s for s in s_gens for t in t_gens]
-    return tuple(elementary_symmetric_all(roots, ring))
+    return tuple(elementary_symmetric_all(roots, RationalPoly.const(ring, 1)))
 
 
 def hom_flag_chern(

@@ -28,12 +28,12 @@ is one such sum over one power table, and `substitute` is `evaluate` into
 a target ring that its caller names.
 
 The module also carries `elementary_symmetric_all`, every e_k of a list
-of ring elements in one pass, which the Hom classes of flags are built
-on.  Two more helpers have no caller in the library: the rewrite of a
-symmetric polynomial in the elementary basis (`express_in_elementary`,
-whose descent also decides symmetry) and an exact linear solver over the
-rationals (`linear_solve`).  The `selftest` suites check both, and the
-per-layer tracer in `perfbench` wraps them by name.
+of numbers or ring elements in one pass, for the Hom classes of flags and
+the End root check.  Two more helpers have no caller in the library: the
+rewrite of a symmetric polynomial in the elementary basis
+(`express_in_elementary`, whose descent also decides symmetry) and an
+exact linear solver over the rationals (`linear_solve`).  The `selftest`
+suites check both, and the per-layer tracer in `perfbench` wraps them by name.
 """
 
 from __future__ import annotations
@@ -611,17 +611,12 @@ def first_difference(p: RationalPoly, q: RationalPoly) -> str:
 # -- symmetric function utilities -------------------------------------------
 
 
-def elementary_symmetric_all(
-    values: Sequence[RationalPoly], ring: Iterable[Variable]
-) -> list[RationalPoly]:
-    """All e_0..e_m of the given elements of `ring`, by the one-pass recurrence."""
-    ring = make_ring(*ring)
-    es = [RationalPoly.const(ring, 1)]
+def elementary_symmetric_all(values: Sequence[Any], one: Any) -> list[Any]:
+    """All e_0..e_m of numbers or of elements of one ring whose unit is `one`."""
+    es = [one]
     for v in values:
-        if v.ring != ring:
-            raise ValueError("ring mismatch among the inputs")
-        es.append(RationalPoly.zero(ring))
-        for k in range(len(es) - 1, 0, -1):
+        es.append(v * es[-1])
+        for k in range(len(es) - 2, 0, -1):
             es[k] = es[k] + v * es[k - 1]
     return es
 
@@ -652,7 +647,7 @@ def express_in_elementary(
     if len(target) != n:
         raise ValueError("need exactly one target variable per source variable")
     gens = [RationalPoly.gen(src_ring, v) for v in src_ring]
-    es = elementary_symmetric_all(gens, src_ring)
+    es = elementary_symmetric_all(gens, RationalPoly.const(src_ring, 1))
     work = p
     out_terms: list[tuple[Exponents, Fraction]] = []
     while work.terms:

@@ -77,7 +77,8 @@ def _suite_qpoly(c: _Checker) -> None:
     xs = [qpoly.Variable(f"x{i}") for i in range(1, 4)]
     sring = qpoly.make_ring(*xs)
     es = qpoly.elementary_symmetric_all(
-        [qpoly.RationalPoly.gen(sring, v) for v in xs], sring
+        [qpoly.RationalPoly.gen(sring, v) for v in xs],
+        qpoly.RationalPoly.const(sring, 1),
     )
     evars = [qpoly.Variable(f"e{i}", i) for i in range(1, 4)]
     ering = qpoly.make_ring(*evars)

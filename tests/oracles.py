@@ -1,9 +1,11 @@
 """Reference implementations that the tests check the library against.
 
 Each oracle takes the long way round where the library uses a closed
-form: the root ring x_1..x_n in place of the twist identity, a general
-span search over products of End classes in place of the parity argument
-behind `surjectivity_witness`, an evaluation term by term, each power of
+form: the root ring x_1..x_n in place of the twist identity, e_k
+written out over every k-subset in place of the one-pass recurrence of
+`elementary_symmetric_all`, a general span search over products of End
+classes in place of the parity argument behind `surjectivity_witness`, an
+evaluation term by term, each power of
 a value by ** and the terms added one at a time, in place of the shared
 power table and the one-pass sums behind `RationalPoly.evaluate`,
 `substitute` and `a_classes`, a running sum by + and * in place of the
@@ -61,12 +63,17 @@ def embedded(p, ring):
 
 
 def elementary_symmetric(k, variables, ring=None):
-    """The k-th elementary symmetric polynomial of the given variables."""
+    """The k-th elementary symmetric polynomial of the given variables.
+
+    One term 1 * (product of the k variables) per k-subset, written out.
+    """
     ring = make_ring(*(ring if ring is not None else variables))
     if not 0 <= k <= len(variables):
         raise ValueError(f"k={k} out of range 0..{len(variables)}")
-    gens = [RationalPoly.gen(ring, v) for v in variables]
-    return elementary_symmetric_all(gens, ring)[k]
+    terms = []
+    for subset in itertools.combinations([ring.index(v) for v in variables], k):
+        terms.append((tuple(int(pos in subset) for pos in range(len(ring))), 1))
+    return RationalPoly(ring, terms)
 
 
 def y_roots(ring):
@@ -82,7 +89,7 @@ def y_roots(ring):
 def _root_esp(n):
     ring = chern_ring(n)
     gens = [RationalPoly.gen(root_ring(ring), v) for v in root_vars(ring)]
-    return tuple(elementary_symmetric_all(gens, root_ring(ring)))
+    return tuple(elementary_symmetric_all(gens, RationalPoly.const(root_ring(ring), 1)))
 
 
 def expand_to_roots(ring, poly):

@@ -143,7 +143,8 @@ def test_criterion_3_invariance_and_roundtrips_up_to_rank_six():
     for n in range(2, 7):
         ring = chern_ring(n)
         ys = list(y_roots(ring))
-        if not elementary_symmetric_all(ys, root_ring(ring))[1].is_zero():
+        one = RationalPoly.const(root_ring(ring), 1)
+        if not elementary_symmetric_all(ys, one)[1].is_zero():
             ok, detail = False, f"e1 of the difference roots is nonzero at n={n}"
             break
         for k in range(2, n + 1):
@@ -182,9 +183,10 @@ def test_criterion_4_reduction_identity_up_to_rank_five():
     for n in range(2, 6):
         ring = chern_ring(n)
         xs = [RationalPoly.gen(root_ring(ring), v) for v in root_vars(ring)]
-        es = elementary_symmetric_all(xs, root_ring(ring))
+        one = RationalPoly.const(root_ring(ring), 1)
+        es = elementary_symmetric_all(xs, one)
         ys = list(y_roots(ring))
-        zs = elementary_symmetric_all(ys, root_ring(ring))
+        zs = elementary_symmetric_all(ys, one)
         for k in range(2, n + 1):
             data = lambda_p(n, k)
             if data.lam == 0 or data.lam != Fraction(n) ** k:

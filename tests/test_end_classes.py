@@ -46,7 +46,7 @@ def root_ring_end_esp(n):
     ring = chern_ring(n)
     gens = [RationalPoly.gen(root_ring(ring), v) for v in root_vars(ring)]
     roots = [a - b for a in gens for b in gens]
-    return elementary_symmetric_all(roots, root_ring(ring))
+    return elementary_symmetric_all(roots, RationalPoly.const(root_ring(ring), 1))
 
 
 SMALL = [(n, j) for n in range(1, 5) for j in range(1, n * n + 1)]
@@ -97,6 +97,58 @@ class TestRankFive:
             expected = fraction_esp([a - b for a in roots for b in roots])
             for j in range(1, self.N**2 + 1):
                 assert end_chern(self.N, j).evaluate(c_values) == expected[j], j
+
+
+class TestIntegralClasses:
+    """The cache holds n^j * c_j(End) over Z; each answer divides once."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_cached_classes_are_integral(self, n):
+        classes = projclass._end_classes(n)
+        for j in range(1, n * n + 1):
+            assert all(type(c) is int for c in classes[j].terms.values()), j
+            assert end_in_a(n, j) * n**j == classes[j]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_end_chern_divides_the_integral_expansion(self, n):
+        ring = chern_ring(n)
+        classes = projclass._end_classes(n)
+        for j in range(1, n * n + 1):
+            expanded = classes[j].substitute(ring._z_in_c, target_ring=ring.c_ring)
+            got = end_chern(n, j)
+            assert got == expanded / n**j
+            assert got.to_text() == (expanded / n**j).to_text()
+
+    def test_building_the_classes_makes_no_fraction(self, monkeypatch):
+        chern_ring(4)._z_in_c  # the generators are built before counting
+        made = []
+        original = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        classes = projclass._end_classes.__wrapped__(4)
+        assert made == []
+        assert classes == projclass._end_classes(4)
+
+    def test_each_answer_divides_once_by_n_to_the_j(self, monkeypatch):
+        projclass._end_classes(3)
+        chern_ring(3)._z_in_c
+        divisors = []
+        original = RationalPoly.__truediv__
+
+        def counted(self, other):
+            divisors.append(other)
+            return original(self, other)
+
+        monkeypatch.setattr(RationalPoly, "__truediv__", counted)
+        for j in range(1, 10):
+            for answer in (end_in_a, end_chern):
+                divisors.clear()
+                answer(3, j)
+                assert divisors == [3**j], (answer.__name__, j)
 
 
 class TestLoudFailure:
@@ -177,7 +229,7 @@ class TestHomCache:
             for s in sub
             for t in target
         ]
-        expected = elementary_symmetric_all(roots, ring)
+        expected = elementary_symmetric_all(roots, RationalPoly.const(ring, 1))
         for j in range(1, a * b + 1):
             assert hom_flag_chern(sub, target, j) == expected[j]
 

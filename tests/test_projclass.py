@@ -416,7 +416,9 @@ class TestReduction:
     def test_lambda_is_rank_power(self):
         for n in range(2, 5):
             for k in range(2, n + 1):
-                assert lambda_p(n, k).lam == Fraction(n) ** k
+                lam = lambda_p(n, k).lam
+                assert lam == Fraction(n) ** k
+                assert type(lam) is int
 
     def test_top_rank_six(self):
         assert lambda_p(6, 6).lam == 46656

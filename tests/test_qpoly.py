@@ -324,9 +324,41 @@ class TestSymmetricFunctions:
 
     def test_elementary_all_matches_singletons(self):
         gens = [RationalPoly.gen(self.ring, v) for v in self.xs]
-        es = elementary_symmetric_all(gens, self.ring)
+        es = elementary_symmetric_all(gens, RationalPoly.const(self.ring, 1))
         for k in range(4):
             assert es[k] == elementary_symmetric(k, self.xs)
+
+    def test_elementary_all_over_numbers_and_polynomials(self):
+        # each e_k is the oracle's subset sum evaluated term by term
+        p = parse_poly("1*x1*x2 + -1/2*x3", self.ring)
+        x1 = RationalPoly.gen(self.ring, self.xs[0])
+        cases = [
+            ([], 1),
+            ([3, -1, 4, 0, -5], 1),
+            ([Fraction(1, 2), Fraction(-2, 3), Fraction(5)], Fraction(1)),
+            ([p, p - 1, x1], RationalPoly.const(self.ring, 1)),
+        ]
+        for values, one in cases:
+            names = [Variable(f"v{i}") for i in range(len(values))]
+            assignment = dict(zip(names, values))
+            expected = [
+                evaluate_by_terms(elementary_symmetric(k, names), assignment, one - one)
+                for k in range(len(values) + 1)
+            ]
+            got = elementary_symmetric_all(values, one)
+            assert got == expected
+            assert all(type(e) is type(one) for e in got)
+
+    def test_elementary_all_refuses_two_rings(self):
+        other = make_ring(Variable("t"))
+        x1 = RationalPoly.gen(self.ring, self.xs[0])
+        t = RationalPoly.gen(other, other[0])
+        for values, one in (
+            ([x1, t], RationalPoly.const(self.ring, 1)),
+            ([x1], RationalPoly.const(other, 1)),
+        ):
+            with pytest.raises(ValueError, match="^ring mismatch$"):
+                elementary_symmetric_all(values, one)
 
     def test_elementary_out_of_range(self):
         with pytest.raises(ValueError):
