@@ -1,19 +1,19 @@
 """Reference implementations that the tests check the library against.
 
 Each oracle takes the long way round where the library uses a closed
-form: the root ring x_1..x_n in place of the twist identity, e_k
-written out over every k-subset in place of the one-pass recurrence of
+form: the root ring x_1..x_n in place of the twist identity, e_k written
+out over every k-subset in place of the one-pass recurrence of
 `elementary_symmetric_all`, a general span search over products of End
-classes in place of the parity argument behind `surjectivity_witness`, an
-evaluation term by term, each power of
-a value by ** and the terms added one at a time, in place of the shared
-power table and the one-pass sums behind `RationalPoly.evaluate`,
-`substitute` and `a_classes`, a running sum by + and * in place of the
-one-pass `linear_combination`, and a Kunneth
-product written out part by part, over ParamElements, in place of the flat
-(surface key, monomial) terms of `KunnethClass` and their product memo.  Newstead's closed
-form for the Betti numbers of the rank-2 moduli space is an outside bound
-on the generator catalog.  None of this is on a library path.
+classes in place of the parity argument behind `surjectivity_witness`,
+an evaluation term by term, each power of a value by ** and the terms
+added one at a time, in place of the shared power table and the one-pass
+sums behind `RationalPoly.evaluate`, `substitute` and `a_classes`, a
+running sum by + and * in place of the one-pass `linear_combination`,
+and a Kunneth product written out part by part, over ParamElements, in
+place of the flat (surface key, monomial) terms of `KunnethClass` and
+their product memo.  Newstead's closed form for the Betti numbers of the
+rank-2 moduli space is an outside bound on the generator catalog.  None
+of this is on a library path.
 """
 
 from __future__ import annotations

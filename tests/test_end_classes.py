@@ -115,9 +115,7 @@ class TestIntegralClasses:
         classes = projclass._end_classes(n)
         for j in range(1, n * n + 1):
             expanded = classes[j].substitute(ring._z_in_c, target_ring=ring.c_ring)
-            got = end_chern(n, j)
-            assert got == expanded / n**j
-            assert got.to_text() == (expanded / n**j).to_text()
+            assert end_chern(n, j) == expanded / n**j
 
     def test_building_the_classes_makes_no_fraction(self, monkeypatch):
         chern_ring(4)._z_in_c  # the generators are built before counting
@@ -134,8 +132,6 @@ class TestIntegralClasses:
         assert classes == projclass._end_classes(4)
 
     def test_each_answer_divides_once_by_n_to_the_j(self, monkeypatch):
-        projclass._end_classes(3)
-        chern_ring(3)._z_in_c
         divisors = []
         original = RationalPoly.__truediv__
 
