@@ -14,18 +14,31 @@ The package computes, over the rationals and without any floating point:
 - a deterministic CLI over all of it (`projchar` console script).
 """
 
-from . import projclass, qpoly, surfalg, univdet
-from .qpoly import *  # noqa: F401,F403
-from .projclass import *  # noqa: F401,F403
-from .surfalg import *  # noqa: F401,F403
-from .univdet import *  # noqa: F401,F403
+from importlib import import_module
+from importlib.util import find_spec
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    *qpoly.__all__,
-    *projclass.__all__,
-    *surfalg.__all__,
-    *univdet.__all__,
-]
+# the modules whose `__all__` the package re-exports, in this order; each is
+# imported on first access, so `projchar.cli` loads only what it uses
+_MODULES = ("qpoly", "projclass", "surfalg", "univdet")
+
+
+def __getattr__(name: str):
+    """A package name, resolved on first access and then kept (PEP 562)."""
+    if name in _MODULES:
+        return import_module(f"{__name__}.{name}")
+    if name == "__all__":
+        value = ["__version__"]
+        for module in _MODULES:
+            value += __getattr__(module).__all__
+    elif name.startswith("__") or find_spec(f"{__name__}.{name}") is not None:
+        # dunder probes, and submodules that the import system loads itself
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    else:
+        owner = next((m for m in map(__getattr__, _MODULES) if name in m.__all__), None)
+        if owner is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(owner, name)
+    globals()[name] = value
+    return value

@@ -19,7 +19,7 @@ from pathlib import Path
 from random import Random
 from typing import Any, Optional
 
-from . import projclass, surfalg, univdet
+from . import projclass, univdet
 from .qpoly import RationalPoly, Variable, format_fraction, parse_poly
 
 _CVAR_RE = re.compile(r"c([1-9]\d*)")
@@ -220,6 +220,8 @@ _CANON_GENERATORS = (("v1", 1), ("v2", 1), ("u1", 2), ("u2", 2))
 
 
 def _cmd_canonicality(args: argparse.Namespace) -> CommandOutput:
+    from . import surfalg  # imported here: every other command would pay for it
+
     if args.count < 1:
         raise ValueError(f"count must be positive, got {args.count}")
     if args.rank < 1:

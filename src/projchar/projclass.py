@@ -8,16 +8,16 @@ difference roots y_i = n*x_i - (x_1 + ... + x_n).
 
 One identity does the work: the twist x_i -> x_i + f sends c_k to
 sum_i C(n-i, k-i) * c_i * f^(k-i).  The roots n*x_i have classes n^i*c_i,
-and twisting them by f = -c_1 gives the y_i, so one twist over the
-integers gives every z_k(c), with z_1 = e_1(y) = 0.  Each rank's
-`ChernRing` keeps that one map.  Classes are plain polynomials over
-`ChernRing.c_ring` or `ChernRing.z_ring`.  A twist-invariant class p equals
-its value at c_1 = 0, c_k = z_k/n^k: its normal form in the z_k, read off
-the c_1-free terms of p, each divided by n^w for its own weight w.  That is
-exact term by term, since twisting keeps every term's weight, so p need
-not be homogeneous.  p is invariant exactly when that normal form,
-expanded back through z_k(c), returns p.  Twisting the y_i back by +c_1
-gives a_k = P + lambda * c_k in closed form.
+and twisting them by f = -c_1 gives the y_i, so every z_k(c) is that sum
+over the integers, written out term by term with no product, and
+z_1 = e_1(y) = 0.  Each rank's `ChernRing` keeps that one map.  Classes
+are plain polynomials over `ChernRing.c_ring` or `ChernRing.z_ring`.  A
+twist-invariant class p equals its value at c_1 = 0, c_k = z_k/n^k: its
+normal form in the z_k, read off the c_1-free terms of p, each divided by
+n^w for its own weight w.  That is exact term by term, since twisting
+keeps every term's weight, so p need not be homogeneous.  p is invariant
+exactly when that normal form, expanded back through z_k(c), returns p.
+Twisting the y_i back by +c_1 gives a_k = P + lambda * c_k in closed form.
 
 The classes of the endomorphism bundle End are twist-invariant too, so
 they are computed from the y_i with no root ring: Newton's identities give
@@ -99,12 +99,20 @@ class ChernRing:
 
     @cached_property
     def _z_in_c(self) -> Mapping[Variable, RationalPoly]:
-        # the roots n*x_i have classes n^i*c_i; twisting them by -c1 gives y_i
-        n, ring = self.rank, self.c_ring
-        c = [RationalPoly.gen(ring, v) for v in self.c_ring]
-        scaled = [n**i * ci for i, ci in enumerate(c, 1)]
-        one = RationalPoly.const(ring, 1)
-        return dict(zip(self.z_ring, twist(scaled, -c[0], one)[1:]))
+        # the roots n*x_i have classes n^i*c_i; twisting them by -c1 gives y_i:
+        # z_k = sum_i C(n-i, k-i) (-1)^(k-i) n^i c1^(k-i) c_i with c_0 = 1,
+        # where the i = 0 and i = 1 terms share the key c1^k
+        n = self.rank
+        out = {}
+        for k, z in enumerate(self.z_ring, 2):
+            pairs = []
+            for i in range(k + 1):
+                exps = [k - i] + [0] * (n - 1)
+                if i:
+                    exps[i - 1] += 1
+                pairs.append((exps, math.comb(n - i, k - i) * (-1) ** (k - i) * n**i))
+            out[z] = RationalPoly(self.c_ring, pairs)
+        return out
 
 
 @lru_cache(maxsize=None)

@@ -17,23 +17,26 @@ and `KunnethClass` in `surfalg`.  It owns the canonical form (check each
 pair, sum equal keys, drop zeros), the construction of results without
 that check, the term order and the text grammar ("0" or terms joined by
 " + " in that order), the product loop, scalar coercion, +, -, negation,
-scalar *, ** by square-and-multiply, == and repr.  Each type supplies its
+scalar *, ** by successive products, == and repr.  Each type supplies its
 key and coefficient check, its order key, the text of one term, the rows
-of its key products (here exponent sums, worked out for each product),
-two one-line hooks and the names of the slots a result shares with its
-operand.  `ProductRows` is the memo of key products that the other three
-types keep, one per space object.  `linear_combination` sums
-coefficient * element pairs into one element in one pass; `evaluate`
+of its key products, two one-line hooks and the names of the slots a
+result shares with its operand.  `RationalPoly` has no rows: its hook
+returns None, and the product loop then adds the two exponent vectors of
+each term pair in place.  `ProductRows` is the memo of key products that
+the other three types keep, one per space object.  `linear_combination`
+sums coefficient * element pairs into one element in one pass; `evaluate`
 is one such sum over one power table, and `substitute` is `evaluate` into
 a target ring that its caller names.
 
 The module also carries `elementary_symmetric_all`, every e_k of a list
 of numbers or ring elements in one pass, for the Hom classes of flags and
-the End root check.  Two more helpers have no caller in the library: the
-rewrite of a symmetric polynomial in the elementary basis
-(`express_in_elementary`, whose descent also decides symmetry) and an
-exact linear solver over the rationals (`linear_solve`).  The `selftest`
-suites check both, and the per-layer tracer in `perfbench` wraps them by name.
+the End root check; for kernel elements each step e_k + v * e_{k-1} is
+summed by the product loop into one copy of e_k.  Two more helpers have
+no caller in the library: the rewrite of a symmetric polynomial in the
+elementary basis (`express_in_elementary`, whose descent also decides
+symmetry) and an exact linear solver over the rationals (`linear_solve`).
+The `selftest` suites check both, and the per-layer tracer in `perfbench`
+wraps them by name.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import re
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from typing import Any
 
 __all__ = [
@@ -118,6 +121,9 @@ class SparseTerms:
     drops zeros.  Every +, -, * and ** result is built by `_make` instead,
     which takes the space from its operand and trusts the keys the kernel
     made itself: it sums nothing and checks nothing, it only drops zeros.
+    `_mul` can also add its product into a copy of a third element, as the
+    recurrence of `elementary_symmetric_all` does in place of a product
+    followed by a sum; it never changes an operand.
     The order of `terms` is unspecified; only `_ordered_keys` orders them,
     for text.  The subclass supplies these hooks:
 
@@ -133,8 +139,9 @@ class SparseTerms:
       it is zero in the space (`_entry` never sees the key, so the rows
       apply any truncation themselves); `_mul` reads one entry per pair of
       terms and multiplies the coefficients itself.  A `ProductRows` keeps
-      every entry it works out; the rows of `RationalPoly` are built for
-      one product and keep nothing;
+      every entry it works out.  None in place of the rows means additive
+      keys: `_mul` adds the two key tuples of each pair itself, with sign
+      1, and builds no row.  `RationalPoly` returns None;
     - `_space()`: the constructor's arguments before the terms, as a tuple;
       operands from different spaces raise `ValueError` with `_mismatch`;
       `_shared` names the slots a result copies from its operand;
@@ -179,10 +186,10 @@ class SparseTerms:
     @staticmethod
     def _exponents(exps: Iterable[int], size: int, space: str) -> Exponents:
         """A checked exponent-vector key; `space` formats `size` for the message."""
-        exps = tuple(int(e) for e in exps)
+        exps = tuple(map(int, exps))
         if len(exps) != size:
             raise ValueError(f"exponent vector {exps} does not fit {space.format(size)}")
-        if any(e < 0 for e in exps):
+        if min(exps, default=0) < 0:
             raise ValueError(f"negative exponent in {exps}")
         return exps
 
@@ -194,12 +201,24 @@ class SparseTerms:
         new.terms = {k: c for k, c in acc.items() if c}
         return new
 
-    def _mul(self, other: Any) -> Any:
-        """The product with an element of the same space, term by term."""
+    def _mul(self, other: Any, into: Any = None) -> Any:
+        """The product with an element of the same space, term by term.
+
+        With `into`, an element of the same space, the result is
+        into + self * other, summed in one copy of `into`'s terms.
+        """
         rows = self._product_rows(other)
         right = other.terms.items()
-        acc: dict = {}
+        acc: dict = {} if into is None else dict(into.terms)
         get = acc.get
+        if rows is None:
+            for k1, c1 in self.terms.items():
+                for k2, c2 in right:
+                    key = tuple(map(add, k1, k2))
+                    coef = c1 * c2
+                    old = get(key)
+                    acc[key] = coef if old is None else old + coef
+            return self._make(acc)
         for k1, c1 in self.terms.items():
             row = rows[k1]
             for k2, c2 in right:
@@ -281,17 +300,14 @@ class SparseTerms:
             return NotImplemented
         if exponent < 0:
             raise ValueError("negative exponent")
-        # starting from None rather than the unit saves one product per call
-        result = None
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return self._scalar(1) if result is None else result
+        if not exponent:
+            return self._scalar(1)
+        # successive products: squaring a sparse element costs far more than
+        # multiplying its power by the element again
+        result = self
+        for _ in range(exponent - 1):
+            result = result * self
+        return result
 
     def __eq__(self, other: Any) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -336,23 +352,6 @@ class _MemoRow(dict):
     def __missing__(self, right: Any) -> Any:
         hit = self[right] = self._pair(self._left, right)
         return hit
-
-
-class _ExponentSums:
-    """The rows of monomial products for one product, which keep nothing.
-
-    Pairs of polynomial terms rarely repeat, so a memo would only add
-    memory.  Each row is built when the loop reaches its left exponents,
-    over the right factor's exponents, and dropped after it.
-    """
-
-    __slots__ = ("_right",)
-
-    def __init__(self, right: Mapping) -> None:
-        self._right = right
-
-    def __getitem__(self, left: Exponents) -> dict:
-        return {e: (tuple(map(add, left, e)), 1) for e in self._right}
 
 
 def linear_combination(pairs: Iterable[tuple[Any, Any]], zero: Any) -> Any:
@@ -453,13 +452,15 @@ class RationalPoly(SparseTerms):
         return self._exponents(exps, size, "a ring of {} variables"), self._exact(coef)
 
     def _order(self, exps: Exponents) -> tuple[int, Exponents]:
-        return self.term_weight(exps), exps
+        return sum(map(mul, self._weights, exps)), exps
 
-    def _term_text(self, exps: Exponents, coef: Fraction) -> str:
-        return "*".join([format_fraction(coef), *self._factors(exps)])
+    def _term_text(self, exps: Exponents, coef: int | Fraction) -> str:
+        # str of an int or a Fraction is the text format_fraction gives
+        return "*".join([str(coef), *self._factors(exps)])
 
-    def _product_rows(self, other: "RationalPoly") -> _ExponentSums:
-        return _ExponentSums(other.terms)
+    def _product_rows(self, other: "RationalPoly") -> None:
+        # exponent vectors multiply by adding: no rows
+        return None
 
     def _space(self) -> tuple[Ring]:
         return (self.ring,)
@@ -612,12 +613,20 @@ def first_difference(p: RationalPoly, q: RationalPoly) -> str:
 
 
 def elementary_symmetric_all(values: Sequence[Any], one: Any) -> list[Any]:
-    """All e_0..e_m of numbers or of elements of one ring whose unit is `one`."""
+    """All e_0..e_m of numbers or of elements of one ring whose unit is `one`.
+
+    Each step is e_k += v * e_{k-1}, for k from the top down.  Numbers use
+    + and *; for kernel elements the product is summed into a copy of e_k
+    in one dict, and no value or `one` is changed.
+    """
+    fused = isinstance(one, SparseTerms)
     es = [one]
     for v in values:
+        if fused:
+            v = one._coerce(v)  # a scalar as a constant; another ring raises
         es.append(v * es[-1])
         for k in range(len(es) - 2, 0, -1):
-            es[k] = es[k] + v * es[k - 1]
+            es[k] = v._mul(es[k - 1], es[k]) if fused else es[k] + v * es[k - 1]
     return es
 
 

@@ -8,7 +8,8 @@ classes in place of the parity argument behind `surjectivity_witness`,
 an evaluation term by term, each power of a value by ** and the terms
 added one at a time, in place of the shared power table and the one-pass
 sums behind `RationalPoly.evaluate`, `substitute` and `a_classes`, a
-running sum by + and * in place of the one-pass `linear_combination`,
+running sum by + and * in place of the one-pass `linear_combination`
+and of the products that `elementary_symmetric_all` sums in place,
 and a Kunneth product written out part by part, over ParamElements, in
 place of the flat (surface key, monomial) terms of `KunnethClass` and
 their product memo.  Newstead's closed form for the Betti numbers of the
@@ -143,6 +144,16 @@ def linear_combination_by_addition(pairs, zero):
     for coef, value in pairs:
         total = total + coef * value
     return total
+
+
+def elementary_symmetric_by_steps(values, one):
+    """e_0..e_m by the recurrence e_k = e_k + v * e_{k-1}, each step by + and *."""
+    es = [one]
+    for v in values:
+        es.append(v * es[-1])
+        for k in range(len(es) - 2, 0, -1):
+            es[k] = es[k] + v * es[k - 1]
+    return es
 
 
 def a_classes_by_running_sums(rank, values, zero):

@@ -86,6 +86,17 @@ def test_cli_import_leaves_selftest_unloaded():
     assert result.stdout == "False\n"
 
 
+def test_cli_import_leaves_surfalg_unloaded():
+    # only `canonicality` needs surfalg; the package namespace loads nothing
+    probe = "import sys; from projchar import cli; print('projchar.surfalg' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
 def test_package_exports_each_module_all_once():
     modules = (qpoly, projclass, surfalg, univdet)
     expected = ["__version__", *(name for m in modules for name in m.__all__)]

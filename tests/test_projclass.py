@@ -241,39 +241,27 @@ class TestZBasis:
         with pytest.raises(ValueError):
             z_basis(ring, 4)
 
-    def test_one_twist_builds_every_generator(self, monkeypatch):
-        calls = []
-        original = projclass.twist
+    def test_generators_build_without_twist(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("z_k(c) is written out, not twisted")
 
-        def counted(*args):
-            calls.append(len(args[0]))
-            return original(*args)
-
-        monkeypatch.setattr(projclass, "twist", counted)
+        expected = [z_basis(chern_ring(6), k) for k in range(2, 7)]
+        monkeypatch.setattr(projclass, "twist", refuse)
         fresh = projclass.ChernRing(6)
-        got = [z_basis(fresh, k) for k in range(2, 7)]
-        assert calls == [6]
-        assert got == [z_basis(chern_ring(6), k) for k in range(2, 7)]
+        assert [z_basis(fresh, k) for k in range(2, 7)] == expected
 
     def test_generators_are_integral_closed_forms(self):
-        # z_k = sum_i C(n-i, k-i) (-1)^(k-i) n^i c1^(k-i) c_i with c_0 = 1,
-        # summed term by term: the i = 0 and i = 1 terms share the key c1^k
-        import math
-
+        # the general twist is the oracle: the roots n*x_i, of classes n^i*c_i,
+        # twisted by -c_1 are the difference roots y_i, whose e_k is z_k
         for n in range(2, 9):
             ring = chern_ring(n)
+            c = [RationalPoly.gen(ring.c_ring, v) for v in ring.c_ring]
+            one = RationalPoly.const(ring.c_ring, 1)
+            expected = twist([n**i * ci for i, ci in enumerate(c, 1)], -c[0], one)
             for k in range(2, n + 1):
-                pairs = []
-                for i in range(k + 1):
-                    exps = [0] * n
-                    exps[0] = k - i
-                    if i:
-                        exps[i - 1] += 1
-                    coef = math.comb(n - i, k - i) * (-1) ** (k - i) * n**i
-                    pairs.append((exps, coef))
                 got = z_basis(ring, k)
                 assert all(type(c) is int for c in got.terms.values()), (n, k)
-                assert got == RationalPoly(ring.c_ring, pairs)
+                assert got == expected[k - 1], (n, k)
 
     def test_weight_and_degree(self):
         poly = z_basis(chern_ring(4), 3)

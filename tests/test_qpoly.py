@@ -26,7 +26,11 @@ from projchar.surfalg import (
     random_kunneth,
 )
 
-from oracles import elementary_symmetric, evaluate_by_terms
+from oracles import (
+    elementary_symmetric,
+    elementary_symmetric_by_steps,
+    evaluate_by_terms,
+)
 
 X = Variable("x")
 Y = Variable("y", 2)
@@ -348,6 +352,26 @@ class TestSymmetricFunctions:
             got = elementary_symmetric_all(values, one)
             assert got == expected
             assert all(type(e) is type(one) for e in got)
+
+    def test_elementary_all_matches_running_steps_and_changes_no_input(self):
+        p = parse_poly("1*x1*x2 + -1/2*x3 + 2", self.ring)
+        x1, x2, x3 = (RationalPoly.gen(self.ring, v) for v in self.xs)
+        cases = [
+            ([3, -1, 4, 0, -5, 2], 1),
+            ([Fraction(1, 2), Fraction(-2, 3), 5, Fraction(7, 4)], Fraction(1)),
+            ([p, x1 - x2, 3, p * x3, Fraction(-1, 2), x1], RationalPoly.const(self.ring, 1)),
+        ]
+
+        def snapshot(x):
+            return dict(x.terms) if isinstance(x, RationalPoly) else x
+
+        for values, one in cases:
+            before = [snapshot(x) for x in (one, *values)]
+            got = elementary_symmetric_all(values, one)
+            expected = elementary_symmetric_by_steps(values, one)
+            assert got == expected
+            assert [str(e) for e in got] == [str(e) for e in expected]
+            assert [snapshot(x) for x in (one, *values)] == before
 
     def test_elementary_all_refuses_two_rings(self):
         other = make_ring(Variable("t"))

@@ -344,6 +344,12 @@ class TestProduct:
         assert max(landed.values()) >= 2, "no two term pairs share a key"
         assert a * b == sum(pieces, a * 0)
 
+    @pytest.mark.parametrize("kind", list(_product_cases()))
+    def test_powers_match_repeated_product(self, kind):
+        x = _product_cases()[kind](random.Random(350))
+        for e in range(10):
+            _assert_same_terms(x**e, repeated_product(x, e))
+
     def test_cancelling_pairs_drop_their_key(self):
         # polynomials form a domain: a product of nonzero ones cancels only in part
         x, y = Variable("x"), Variable("y")
@@ -601,16 +607,11 @@ class TestPairCounts:
     def test_polynomial_products_store_nothing(self):
         ring = make_ring(Variable("x"), Variable("y", 2))
         p = RationalPoly(ring, {(1, 0): 2, (0, 1): Fraction(-1, 2), (0, 0): 3})
-        square = p * p
-        rows = p._product_rows(p)
-        # the rows hold only the right factor's terms, and build each row anew
-        assert not hasattr(rows, "__dict__") and type(rows).__slots__ == ("_right",)
-        assert rows._right is p.terms
-        for k1 in p.terms:
-            row = rows[k1]
-            assert row == {k2: (tuple(map(add, k1, k2)), 1) for k2 in p.terms}
-            assert rows[k1] is not row
-        assert p * p == square
+        q = RationalPoly(ring, {(2, 1): Fraction(4, 3), (1, 0): -1, (0, 2): 5})
+        # no rows: the kernel loop adds the exponent vectors of each pair itself
+        assert p._product_rows(q) is None
+        for a, b in ((p, q), (q, p), (p, p)):
+            _assert_same_terms(a * b, _public(a, _raw_product_pairs(a, b)))
 
 
 class TestNoRevalidation:
