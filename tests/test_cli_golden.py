@@ -20,6 +20,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -59,6 +60,21 @@ INVARIANT_WEIGHT_6 = {
         " + 46656*c2*c4 + -93312*c3^2 + 46656*c6"
     ),
 }
+
+
+
+def _z2_power_in_c(e: int) -> str:
+    """z2^e at rank 2 in the c_i, from z2 = 4*c2 - c1^2 and the binomial theorem."""
+    terms = []
+    for k in range(e + 1):
+        factors = [str(math.comb(e, k) * 4**k * (-1) ** (e - k))]
+        if e - k:
+            factors.append(f"c1^{2 * (e - k)}")
+        if k:
+            factors.append("c2" if k == 1 else f"c2^{k}")
+        terms.append("*".join(factors))
+    return " + ".join(terms)
+
 
 # each entry runs once as written and once with --json appended
 INVOCATIONS = [
@@ -132,6 +148,13 @@ INVOCATIONS = [
     ["invariance-check", "6", INVARIANT_WEIGHT_6[6]],
     ["invariance-check", "6", INVARIANT_WEIGHT_6[6] + " + 1*c2^3"],
     ["invariance-check", "2", "1*c2^30"],
+    # weights on both sides of 255, 65535 and 2^64 - 1
+    ["invariance-check", "2", _z2_power_in_c(150)],
+    ["invariance-check", "2", "1*c2^200 + 1*c1^400"],
+    ["invariance-check", "2", "1*c1^256 + 1*c2^127"],
+    ["invariance-check", "2", "1*c1^65535 + 1*c2"],
+    ["invariance-check", "2", "1*c1^65536 + 1*c2"],
+    ["invariance-check", "1", "1*c1^18446744073709551617"],
     ["hom-flag", "1", "2", "2"],
     ["hom-flag", "2", "2", "3"],
     ["hom-flag", "3", "4", "6"],
