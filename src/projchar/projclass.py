@@ -51,6 +51,9 @@ from .qpoly import (
     elementary_symmetric_all,
     express_in_elementary,
     _evaluate_all,
+    _evaluate_plan,
+    _plan,
+    _rung,
     first_difference,
     linear_solve,
     make_ring,
@@ -101,18 +104,26 @@ class ChernRing:
     def _z_in_c(self) -> Mapping[Variable, RationalPoly]:
         # the roots n*x_i have classes n^i*c_i; twisting them by -c1 gives y_i:
         # z_k = sum_i C(n-i, k-i) (-1)^(k-i) n^i c1^(k-i) c_i with c_0 = 1,
-        # where the i = 0 and i = 1 terms share the key c1^k
+        # where the i = 0 and i = 1 terms share the key c1^k, with coefficient
+        # (-1)^k (C(n,k) - n C(n-1,k-1)) = (-1)^k (1-k) C(n,k).  Each key packs
+        # k in its top field, the c1 exponent below it and the exponent 1 of
+        # c_i in field n - i, counted from the bottom.
         n = self.rank
         out = {}
         for k, z in enumerate(self.z_ring, 2):
-            pairs = []
-            for i in range(k + 1):
-                exps = [k - i] + [0] * (n - 1)
-                if i:
-                    exps[i - 1] += 1
-                pairs.append((exps, math.comb(n - i, k - i) * (-1) ** (k - i) * n**i))
-            out[z] = RationalPoly(self.c_ring, pairs)
+            width = _rung(k)
+            c1_key = k << n * width
+            terms = {c1_key + (k << (n - 1) * width): (1 - k) * (-1) ** k * math.comb(n, k)}
+            for i in range(2, k + 1):
+                key = c1_key + ((k - i) << (n - 1) * width) + (1 << (n - i) * width)
+                terms[key] = math.comb(n - i, k - i) * (-1) ** (k - i) * n**i
+            out[z] = RationalPoly._packed(self.c_ring, width, terms)
         return out
+
+    @cached_property
+    def _z_plan(self) -> tuple:
+        """The evaluation plan of every z_k(c), for `_a_classes_of`."""
+        return _plan([*self._z_in_c.values()])
 
 
 @lru_cache(maxsize=None)
@@ -176,15 +187,15 @@ def rewrite_in_z(ring: ChernRing, poly: RationalPoly) -> RationalPoly | None:
     """
     if poly.ring != ring.c_ring:
         raise ValueError("polynomial is not over the Chern-class ring")
-    n = ring.rank
-    q = RationalPoly(
-        ring.z_ring,
-        {
-            e[1:]: Fraction(c, n ** poly.term_weight(e))
-            for e, c in poly.terms.items()
-            if not e[0]
-        },
-    )
+    # a c1-free key (w, 0, e_2..e_n) becomes the z-key (w, e_2..e_n)
+    n, width = ring.rank, poly._width
+    low = (n - 1) * width  # the bits of e_2..e_n
+    terms = {}
+    for key, c in poly.terms.items():
+        weight, c1 = key >> low + width, key >> low & (1 << width) - 1
+        if not c1:
+            terms[weight << low | key & (1 << low) - 1] = Fraction(c, n**weight)
+    q = RationalPoly._packed(ring.z_ring, width, terms)
     if q.substitute(ring._z_in_c, target_ring=ring.c_ring) != poly:
         return None
     return q
@@ -294,8 +305,12 @@ def a_classes(
 
 
 def _a_classes_of(rank: int, values: Sequence[Any], zero: Any) -> list[Any]:
-    """a_2..a_rank at exactly `rank` Chern values, trusted to have degrees 2i."""
-    return _evaluate_all([*chern_ring(rank)._z_in_c.values()], values, zero)
+    """a_2..a_rank at exactly `rank` Chern values, trusted to have degrees 2i.
+
+    The rank's `ChernRing` keeps the plan of its z_k(c), so no key is
+    unpacked after the first call at a rank.
+    """
+    return _evaluate_plan(chern_ring(rank)._z_plan, values, zero)
 
 
 # -- endomorphism and Hom bundles -----------------------------------------------

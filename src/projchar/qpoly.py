@@ -5,11 +5,20 @@ operation is exact.  Two paths store an integral coefficient as an `int`:
 construction (the public constructors) and products by a scalar.  Kernel
 `+` and `*` of two elements keep each coefficient as `+` returns it, so
 there an integral sum of `Fraction`s stays a `Fraction`.  A polynomial
-is a sparse map from exponent vectors to nonzero coefficients over an
-explicit, ordered tuple of `Variable`s (its ring).  The representation is
-canonical as a map: two polynomials are equal iff their rings and term maps
-are equal.  Term order belongs to the text alone: `to_text` writes the
-terms by descending (weight, exponents).
+is a sparse map from monomials to nonzero coefficients over an explicit,
+ordered tuple of `Variable`s (its ring).  Each monomial is one packed int
+key (Kronecker substitution): fields of one width, the term's weight in
+the most significant field and below it the exponents e_1..e_n in ring
+order, e_n lowest.  So int order is the term order (weight, exponents),
+and the key of a product of two monomials is the sum of their keys.
+Weights are at least 1, so no exponent exceeds its term's weight, and
+the width is the narrowest of 8, 16, 32, ... bits that holds the largest
+weight of the polynomial: every field then fits, and the width is a
+function of the polynomial.  The representation is canonical as a map:
+two polynomials are equal iff their rings and term maps are equal.
+Exponent tuples are the public face: the constructor, `coefficient`,
+`exponent_items`, `parse_poly` and the text.  Term order belongs to the
+text alone: `to_text` writes the terms by descending (weight, exponents).
 
 `SparseTerms` is the kernel shared by every sparse "key -> coefficient"
 type of the package: `RationalPoly` here and `SurfaceClass`, `ParamElement`
@@ -21,12 +30,15 @@ scalar *, ** by successive products, == and repr.  Each type supplies its
 key and coefficient check, its order key, the text of one term, the rows
 of its key products, two one-line hooks and the names of the slots a
 result shares with its operand.  `RationalPoly` has no rows: its hook
-returns None, and the product loop then adds the two exponent vectors of
-each term pair in place.  `ProductRows` is the memo of key products that
+returns None, and the product loop then adds the two int keys of each
+term pair, after widening its operands once if the product's largest
+weight needs a wider field.  `ProductRows` is the memo of key products that
 the other three types keep, one per space object.  `linear_combination`
 sums coefficient * element pairs into one element in one pass; `evaluate`
 is one such sum over one power table, and `substitute` is `evaluate` into
-a target ring that its caller names.
+a target ring that its caller names.  Both read the unpacked exponents
+through an evaluation plan, which a caller that evaluates the same
+polynomials again can keep.
 
 The module also carries `elementary_symmetric_all`, every e_k of a list
 of numbers or ring elements in one pass, for the Hom classes of flags and
@@ -43,10 +55,12 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from functools import lru_cache
+from operator import mul
 from typing import Any
 
 __all__ = [
@@ -112,6 +126,38 @@ def _integral(value: Any) -> Any:
     return value.numerator if whole else value
 
 
+_NARROWEST = 8  # bits per field of a packed key; the ladder doubles from here
+
+
+def _rung(weight: int) -> int:
+    """The narrowest field width on the ladder 8, 16, 32, ... that holds `weight`."""
+    width = _NARROWEST
+    while weight >> width:
+        width <<= 1
+    return width
+
+
+def _pack(fields: Iterable[int], width: int) -> int:
+    """The key of the fields (weight, e_1, ..., e_n), the first one highest."""
+    key = 0
+    for field in fields:
+        key = key << width | field
+    return key
+
+
+@lru_cache(maxsize=None)
+def _unpacker(size: int, width: int) -> Any:
+    """The function from a key to its fields (weight, e_1, ..., e_size).
+
+    Widths up to 64 bits read the key's big-endian bytes through `struct`.
+    """
+    if width <= 64:
+        fmt = struct.Struct(">" + "BHIQ"[width.bit_length() - 4] * (size + 1))
+        return lambda key: fmt.unpack(key.to_bytes(fmt.size, "big"))
+    shifts = range(size * width, -1, -width)
+    return lambda key: tuple([key >> shift & (1 << width) - 1 for shift in shifts])
+
+
 class SparseTerms:
     """Canonical form and arithmetic shared by the sparse "key -> coefficient" types.
 
@@ -125,13 +171,23 @@ class SparseTerms:
     recurrence of `elementary_symmetric_all` does in place of a product
     followed by a sum; it never changes an operand.
     The order of `terms` is unspecified; only `_ordered_keys` orders them,
-    for text.  The subclass supplies these hooks:
+    for text.
+
+    Keys are tuples or packed ints.  `_width` is 0 for tuple keys; for
+    packed int keys (`RationalPoly`) it is the width of their fields.
+    Operands of two widths are brought to the wider one before a sum
+    (`_at`), a product first widens its operands when its largest weight
+    needs it, and `_make` narrows its result (`_narrow`) to the narrowest
+    width that holds it, so the width stays a function of the terms.
+
+    The subclass supplies these hooks:
 
     - `_entry(key, coef)`: the checked (key, coefficient) pair, or None
       for a term that is identically zero in the space; raises on a bad
       key or coefficient.  Only input from outside the kernel meets it;
-    - `_order`: the sort key of a term key (None: the key itself), with
-      `_descending` choosing the direction; only `_ordered_keys` calls it;
+    - `_order`: the sort key of a term key (None: the key itself, as for
+      packed keys), with `_descending` choosing the direction; only
+      `_ordered_keys` calls it;
     - `_term_text(key, coef)`: the text of one term, for `to_text`;
     - `_product_rows(other)`: the rows of key products for the product
       with `other`, where `rows[k1][k2]` is the product of the terms k1
@@ -139,9 +195,10 @@ class SparseTerms:
       it is zero in the space (`_entry` never sees the key, so the rows
       apply any truncation themselves); `_mul` reads one entry per pair of
       terms and multiplies the coefficients itself.  A `ProductRows` keeps
-      every entry it works out.  None in place of the rows means additive
-      keys: `_mul` adds the two key tuples of each pair itself, with sign
-      1, and builds no row.  `RationalPoly` returns None;
+      every entry it works out.  None in place of the rows means packed
+      keys: `_mul` adds the two int keys of each pair itself, with sign 1,
+      and builds no row.  `RationalPoly` returns None, and supplies
+      `_top`, `_at` and `_narrow` for its widths;
     - `_space()`: the constructor's arguments before the terms, as a tuple;
       operands from different spaces raise `ValueError` with `_mismatch`;
       `_shared` names the slots a result copies from its operand;
@@ -158,6 +215,7 @@ class SparseTerms:
     _order: Any = None
     _descending = False
     _shared: tuple[str, ...] = ()
+    _width = 0
 
     @staticmethod
     def _exact(value: Any) -> int | Fraction:
@@ -194,11 +252,18 @@ class SparseTerms:
         return exps
 
     def _make(self, acc: dict) -> Any:
-        """An element of the same space, from a dict whose keys the kernel made."""
+        """An element of the same space, from a fresh dict whose keys the kernel made.
+
+        The element takes the dict over as its terms, zeros deleted.
+        """
         new = object.__new__(type(self))
         for name in self._shared:
             setattr(new, name, getattr(self, name))
-        new.terms = {k: c for k, c in acc.items() if c}
+        for key in [k for k, c in acc.items() if not c]:
+            del acc[key]
+        new.terms = acc
+        if new._width > _NARROWEST:
+            new._narrow()
         return new
 
     def _mul(self, other: Any, into: Any = None) -> Any:
@@ -208,17 +273,25 @@ class SparseTerms:
         into + self * other, summed in one copy of `into`'s terms.
         """
         rows = self._product_rows(other)
-        right = other.terms.items()
-        acc: dict = {} if into is None else dict(into.terms)
-        get = acc.get
         if rows is None:
-            for k1, c1 in self.terms.items():
+            # packed keys: the product's largest weight is the sum of the
+            # operands' (a domain), so this width holds every field of a sum
+            width = _rung(self._top() + other._top())
+            if into is not None:
+                width = max(width, into._width)
+            lhs, right = self._at(width), other._at(width).terms.items()
+            acc: dict = {} if into is None else dict(into._at(width).terms)
+            get = acc.get
+            for k1, c1 in lhs.terms.items():
                 for k2, c2 in right:
-                    key = tuple(map(add, k1, k2))
+                    key = k1 + k2
                     coef = c1 * c2
                     old = get(key)
                     acc[key] = coef if old is None else old + coef
-            return self._make(acc)
+            return lhs._make(acc)
+        right = other.terms.items()
+        acc = {} if into is None else dict(into.terms)
+        get = acc.get
         for k1, c1 in self.terms.items():
             row = rows[k1]
             for k2, c2 in right:
@@ -265,10 +338,14 @@ class SparseTerms:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        acc = dict(self.terms)
+        lhs = self
+        if rhs._width != lhs._width:
+            width = max(lhs._width, rhs._width)
+            lhs, rhs = lhs._at(width), rhs._at(width)
+        acc = dict(lhs.terms)
         for key, coef in rhs.terms.items():
             acc[key] = acc[key] + coef if key in acc else coef
-        return self._make(acc)
+        return lhs._make(acc)
 
     __radd__ = __add__
 
@@ -367,46 +444,68 @@ def linear_combination(pairs: Iterable[tuple[Any, Any]], zero: Any) -> Any:
         for coef, value in pairs:
             total = total + coef * value
         return total
-    acc = dict(zero.terms)
+    base, acc = zero, dict(zero.terms)
     get = acc.get
     for coef, value in pairs:
         element = zero._coerce(value)
         if element is None:
             raise TypeError(f"cannot add {type(value).__name__} to {type(zero).__name__}")
+        if element._width != base._width:  # packed keys: sum at the wider width
+            width = max(element._width, base._width)
+            if width != base._width:
+                base = base._make(acc)._at(width)
+                acc = dict(base.terms)
+                get = acc.get
+            element = element._at(width)
         q = zero._exact(coef)
         for key, c in element.terms.items():
             old = get(key)
             acc[key] = c * q if old is None else old + c * q
-    return zero._make({k: _integral(c) for k, c in acc.items()})
+    return base._make({k: _integral(c) for k, c in acc.items()})
 
 
 class RationalPoly(SparseTerms):
     """Sparse polynomial with exact rational coefficients over an ordered ring.
 
-    Instances are immutable by convention: no method mutates `self`, every
-    operation returns a polynomial in canonical form.
+    `terms` maps packed int keys to coefficients (see the module docstring);
+    `_width` is the width of their fields.  `exponent_items` gives the
+    terms with exponent tuples.  `to_text` writes the kernel's grammar and
+    formats each factor once per call.  Instances are immutable by
+    convention: no method mutates `self`, every operation returns a
+    polynomial in canonical form.
     """
 
-    __slots__ = ("ring", "terms", "_weights")
+    __slots__ = ("ring", "terms", "_width")
     _mismatch = "ring mismatch"
     _descending = True
-    _shared = ("ring", "_weights")
+    _shared = ("ring", "_width")
 
     def __init__(self, ring: Iterable[Variable], terms: Any = ()) -> None:
         self.ring = make_ring(*ring)
-        self._weights = tuple(v.weight for v in self.ring)
-        self.terms = self._canonical(terms)
+        weights = [v.weight for v in self.ring]
+        weighted = [
+            (sum(map(mul, weights, exps)), exps, coef)
+            for exps, coef in self._canonical(terms).items()
+        ]
+        self._width = width = _rung(max([w for w, _, _ in weighted], default=0))
+        self.terms = {_pack((w, *exps), width): coef for w, exps, coef in weighted}
+
+    @classmethod
+    def _packed(cls, ring: Ring, width: int, terms: dict) -> "RationalPoly":
+        """A polynomial over a made ring from keys packed at `width`, unchecked."""
+        base = object.__new__(cls)
+        base.ring, base._width = ring, width
+        return base._make(terms)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, ring: Iterable[Variable]) -> "RationalPoly":
-        return cls(ring)
+        return cls._packed(make_ring(*ring), _NARROWEST, {})
 
     @classmethod
     def const(cls, ring: Iterable[Variable], value: Any) -> "RationalPoly":
-        ring = tuple(ring)
-        return cls(ring, {(0,) * len(ring): value})
+        return cls._packed(make_ring(*ring), _NARROWEST, {0: cls._exact(value)})
 
     @classmethod
     def gen(cls, ring: Iterable[Variable], variable: Variable) -> "RationalPoly":
@@ -415,17 +514,29 @@ class RationalPoly(SparseTerms):
             pos = ring.index(variable)
         except ValueError:
             raise ValueError(f"{variable.name!r} is not a ring variable") from None
-        exps = [0] * len(ring)
-        exps[pos] = 1
-        return cls(ring, {tuple(exps): 1})
+        size, width = len(ring), _rung(variable.weight)
+        key = variable.weight << size * width | 1 << (size - 1 - pos) * width
+        return cls._packed(make_ring(*ring), width, {key: 1})
 
     # -- basic structure -------------------------------------------------
 
     def coefficient(self, exps: Sequence[int]) -> int | Fraction:
-        return self.terms.get(tuple(exps), 0)
+        exps = tuple(exps)
+        if len(exps) != len(self.ring) or min(exps, default=0) < 0:
+            return 0
+        weight = sum([v.weight * e for v, e in zip(self.ring, exps)])
+        if weight >> self._width:  # heavier than every term
+            return 0
+        return self.terms.get(_pack((weight, *exps), self._width), 0)
 
-    def term_weight(self, exps: Exponents) -> int:
-        return sum(w * e for w, e in zip(self._weights, exps))
+    def exponent_items(self) -> list[tuple[Exponents, int | Fraction]]:
+        """The terms as (exponent tuple, coefficient) pairs, in no set order."""
+        unpack = self._unpack()
+        return [(unpack(key)[1:], coef) for key, coef in self.terms.items()]
+
+    def term_weight(self, key: int) -> int:
+        """The weight of the term with this key of `terms`: its top field."""
+        return key >> self._shift()
 
     def homogeneous_weight(self) -> int | None:
         """Common weight of all terms; None for the zero polynomial."""
@@ -433,9 +544,10 @@ class RationalPoly(SparseTerms):
         return self._single_degree(weights, "term weights")
 
     def homogeneous_components(self) -> dict[int, "RationalPoly"]:
-        buckets: dict[int, dict[Exponents, int | Fraction]] = {}
-        for exps, coef in self.terms.items():
-            buckets.setdefault(self.term_weight(exps), {})[exps] = coef
+        buckets: dict[int, dict[int, int | Fraction]] = {}
+        shift = self._shift()
+        for key, coef in self.terms.items():
+            buckets.setdefault(key >> shift, {})[key] = coef
         return {w: self._make(t) for w, t in sorted(buckets.items())}
 
     def cohomological_degree(self) -> int | None:
@@ -451,22 +563,18 @@ class RationalPoly(SparseTerms):
         size = len(self.ring)
         return self._exponents(exps, size, "a ring of {} variables"), self._exact(coef)
 
-    def _order(self, exps: Exponents) -> tuple[int, Exponents]:
-        return sum(map(mul, self._weights, exps)), exps
-
-    def _term_text(self, exps: Exponents, coef: int | Fraction) -> str:
-        # str of an int or a Fraction is the text format_fraction gives
-        return "*".join([str(coef), *self._factors(exps)])
+    def _term_text(self, key: int, coef: int | Fraction) -> str:
+        return self._texts([(key, coef)])[0]
 
     def _product_rows(self, other: "RationalPoly") -> None:
-        # exponent vectors multiply by adding: no rows
+        # packed keys multiply by adding: no rows
         return None
 
     def _space(self) -> tuple[Ring]:
         return (self.ring,)
 
     def _scalar(self, value: Any) -> "RationalPoly":
-        return self._make({(0,) * len(self.ring): self._exact(value)})
+        return self._make({0: self._exact(value)})
 
     def __truediv__(self, other: Any) -> "RationalPoly":
         if isinstance(other, (int, Fraction)):
@@ -474,6 +582,41 @@ class RationalPoly(SparseTerms):
                 raise ZeroDivisionError("division of a polynomial by zero")
             return self * (Fraction(1) / Fraction(other))
         return NotImplemented
+
+    # -- packed keys -------------------------------------------------------
+
+    def _unpack(self) -> Any:
+        return _unpacker(len(self.ring), self._width)
+
+    def _shift(self) -> int:
+        """The position of the weight field in a key."""
+        return len(self.ring) * self._width
+
+    def _exponents_of(self, key: int) -> Exponents:
+        return self._unpack()(key)[1:]
+
+    def _top(self) -> int:
+        """The largest term weight; 0 for the zero polynomial."""
+        return max(self.terms, default=0) >> len(self.ring) * self._width
+
+    def _repacked(self, width: int) -> dict[int, int | Fraction]:
+        unpack = self._unpack()
+        return {_pack(unpack(key), width): coef for key, coef in self.terms.items()}
+
+    def _at(self, width: int) -> "RationalPoly":
+        """The same polynomial with its keys packed at `width` (self if they are)."""
+        if width == self._width:
+            return self
+        new = object.__new__(RationalPoly)
+        new.ring, new._width = self.ring, width
+        new.terms = self._repacked(width)
+        return new
+
+    def _narrow(self) -> None:
+        """Repack a result the kernel just made at the narrowest width that holds it."""
+        width = _rung(self._top())
+        if width != self._width:
+            self.terms, self._width = self._repacked(width), width
 
     # -- ring maps ---------------------------------------------------------
 
@@ -495,13 +638,14 @@ class RationalPoly(SparseTerms):
         target = make_ring(*target_ring)
         if any(img.ring != target for img in bindings.values()):
             raise ValueError("image ring differs from the target ring")
+        plan = _plan([self])
         values = [bindings.get(v) for v in self.ring]
         for pos, v in enumerate(self.ring):
             if values[pos] is None and v in target:
                 values[pos] = RationalPoly.gen(target, v)
-            elif values[pos] is None and any(exps[pos] for exps in self.terms):
+            elif values[pos] is None and plan[1][pos]:
                 raise ValueError(f"unbound variable {v.name!r} is missing from the target ring")
-        return _evaluate_all([self], values, RationalPoly.zero(target))[0]
+        return _evaluate_plan(plan, values, RationalPoly.zero(target))[0]
 
     def evaluate(self, values: Mapping[Variable, Any], zero: Any = Fraction(0)) -> Any:
         """Evaluate in an arbitrary commutative coefficient ring.
@@ -514,45 +658,88 @@ class RationalPoly(SparseTerms):
 
     # -- serialization ------------------------------------------------------
 
-    def _factors(self, exps: Exponents) -> list[str]:
-        return [
-            v.name if e == 1 else f"{v.name}^{e}"
-            for v, e in zip(self.ring, exps)
-            if e
-        ]
+    def _texts(self, items: Iterable[tuple[int, int | Fraction]]) -> list[str]:
+        """The text of each (key, coefficient) term, formatting each factor once."""
+        unpack = self._unpack()
+        factors = [{1: v.name} for v in self.ring]
+        out = []
+        for key, coef in items:
+            # str of an int or a Fraction is the text format_fraction gives
+            parts = [str(coef)]
+            for table, e in zip(factors, unpack(key)[1:]):
+                if e:
+                    text = table.get(e)
+                    if text is None:
+                        text = table[e] = f"{table[1]}^{e}"
+                    parts.append(text)
+            out.append("*".join(parts))
+        return out
+
+    def to_text(self) -> str:
+        """The kernel's text, with one factor table for all the terms."""
+        terms = self.terms
+        return " + ".join(self._texts([(k, terms[k]) for k in self._ordered_keys()])) or "0"
 
     def __str__(self) -> str:
         return self.to_text()
 
 
-def _evaluate_all(polys: Sequence[RationalPoly], values: Sequence, zero: Any) -> list:
-    """The polynomials, all over one ring, at `values`: one per variable, in
-    ring order, None for none.  Power 1 is the value; each higher power that
-    a term uses is built once, ascending: power e is power e-1 times the
-    value when power e-1 is at hand, else `value ** e`.  A term costs one
-    product per variable after its first, and each polynomial is one
+def _plan(polys: Sequence[RationalPoly]) -> tuple:
+    """The unpacked exponents that `_evaluate_plan` reads, of polynomials over one ring.
+
+    A tuple (ring, used, rows): `used[i]` is the sorted exponents >= 1 of
+    variable i over all terms, and `rows` holds per polynomial its terms as
+    (coefficient, ((variable index, exponent), ...)) with exponents >= 1.
+    """
+    ring = polys[0].ring if polys else ()
+    used: list[set[int]] = [set() for _ in ring]
+    rows = []
+    for p in polys:
+        row = []
+        for exps, coef in p.exponent_items():
+            factors = tuple([(i, e) for i, e in enumerate(exps) if e])
+            for i, e in factors:
+                used[i].add(e)
+            row.append((coef, factors))
+        rows.append(row)
+    return ring, [sorted(u) for u in used], rows
+
+
+def _evaluate_plan(plan: tuple, values: Sequence, zero: Any) -> list:
+    """The planned polynomials at `values`: one per variable, in ring order,
+    None for none.  Power 1 is the value; each higher power that a term uses
+    is built once, ascending: power e is power e-1 times the value when
+    power e-1 is at hand, else `value ** e`.  A term costs one product per
+    variable after its first, and each polynomial is one
     `linear_combination` into `zero`.
     """
-    ring, tables = polys[0].ring if polys else (), []
-    for v, value, col in zip(ring, values, zip(*[e for p in polys for e in p.terms])):
-        if value is None and any(col):
+    ring, used, rows = plan
+    tables = []
+    for v, value, exps in zip(ring, values, used):
+        if value is None and exps:
             raise ValueError(f"no value supplied for {v.name!r}")
         table = {1: value}
-        for e in sorted(set(col) - {0, 1}):
-            table[e] = table[e - 1] * value if e - 1 in table else value**e
+        for e in exps:
+            if e > 1:
+                table[e] = table[e - 1] * value if e - 1 in table else value**e
         tables.append(table)
 
     out = []
-    for p in polys:
+    for row in rows:
         pairs = []
-        for exps, coef in p.terms.items():
+        for coef, factors in row:
             factor = None
-            for t, e in zip(tables, exps):
-                if e:
-                    factor = t[e] if factor is None else factor * t[e]
+            for i, e in factors:
+                power = tables[i][e]
+                factor = power if factor is None else factor * power
             pairs.append((coef, 1 if factor is None else factor))
         out.append(linear_combination(pairs, zero))
     return out
+
+
+def _evaluate_all(polys: Sequence[RationalPoly], values: Sequence, zero: Any) -> list:
+    """The polynomials, all over one ring, at `values`, through a fresh plan."""
+    return _evaluate_plan(_plan(polys), values, zero)
 
 
 _COEF_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
@@ -601,8 +788,9 @@ def first_difference(p: RationalPoly, q: RationalPoly) -> str:
     diff = p - q
     if diff.is_zero():
         return "none"
-    exps = diff._ordered_keys()[0]
-    mono = "*".join(diff._factors(exps)) or "1"
+    key = diff._ordered_keys()[0]
+    # the term "1*x*y" without its coefficient; "1" for the constant term
+    mono, exps = diff._term_text(key, 1).partition("*")[2] or "1", diff._exponents_of(key)
     return (
         f"{mono} ({format_fraction(p.coefficient(exps))}"
         f" against {format_fraction(q.coefficient(exps))})"
@@ -660,8 +848,7 @@ def express_in_elementary(
     work = p
     out_terms: list[tuple[Exponents, Fraction]] = []
     while work.terms:
-        lead = max(work.terms)
-        coef = work.terms[lead]
+        lead, coef = max(work.exponent_items())
         if any(lead[i] < lead[i + 1] for i in range(n - 1)):
             raise ValueError("polynomial is not symmetric in the given variables")
         e_exps = tuple(

@@ -25,13 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from projchar.projclass import chern_ring, end_in_a
-from projchar.qpoly import (
-    RationalPoly,
-    Variable,
-    elementary_symmetric_all,
-    linear_solve,
-    make_ring,
-)
+from projchar.qpoly import RationalPoly, Variable, linear_solve, make_ring
 from projchar.surfalg import KunnethClass
 
 
@@ -55,7 +49,7 @@ def embedded(p, ring):
         except ValueError:
             raise ValueError(f"{v.name!r} is missing from the target ring") from None
     out = {}
-    for exps, coef in p.terms.items():
+    for exps, coef in p.exponent_items():
         new = [0] * len(ring)
         for pos, e in zip(positions, exps):
             new[pos] = e
@@ -88,9 +82,9 @@ def y_roots(ring):
 
 @lru_cache(maxsize=None)
 def _root_esp(n):
-    ring = chern_ring(n)
-    gens = [RationalPoly.gen(root_ring(ring), v) for v in root_vars(ring)]
-    return tuple(elementary_symmetric_all(gens, RationalPoly.const(root_ring(ring), 1)))
+    """e_0..e_n of the roots, each written out over its k-subsets."""
+    xs = root_vars(chern_ring(n))
+    return tuple(elementary_symmetric(k, xs) for k in range(n + 1))
 
 
 def expand_to_roots(ring, poly):
@@ -109,7 +103,7 @@ def evaluate_by_terms(poly, values, zero=Fraction(0)):
     """
     total = zero
     powers = {}
-    for exps, coef in poly.terms.items():
+    for exps, coef in poly.exponent_items():
         factor = None
         for pos, e in enumerate(exps):
             if not e:
@@ -169,7 +163,7 @@ def a_classes_by_running_sums(rank, values, zero):
     out = []
     for z in chern_ring(rank)._z_in_c.values():
         total = zero
-        for exps, coef in z.terms.items():
+        for exps, coef in z.exponent_items():
             factor = c1_powers[exps[0]]
             for value, e in zip(values[1:], exps[1:]):
                 if e:
@@ -198,12 +192,11 @@ def span_witness(n):
         target = RationalPoly.gen(ring.z_ring, ring.z_ring[k - 2])
         if not products:
             return True
-        row_keys = sorted(
-            set(itertools.chain(target.terms, *(p.terms for p in products))),
-            reverse=True,
-        )
-        matrix = [[p.terms.get(rk, Fraction(0)) for p in products] for rk in row_keys]
-        rhs = [target.terms.get(rk, Fraction(0)) for rk in row_keys]
+        columns = [dict(p.exponent_items()) for p in products]
+        wanted = dict(target.exponent_items())
+        row_keys = sorted(set(itertools.chain(wanted, *columns)), reverse=True)
+        matrix = [[col.get(rk, Fraction(0)) for col in columns] for rk in row_keys]
+        rhs = [wanted.get(rk, Fraction(0)) for rk in row_keys]
         if linear_solve(matrix, rhs).status == "inconsistent":
             return True
     return False

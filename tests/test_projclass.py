@@ -1,12 +1,14 @@
 """Canonical classes of projectivized bundles: z-generators, reduction, End classes."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from projchar import projclass
+from projchar import projclass, qpoly
 from projchar.projclass import (
     a_classes,
     chern_ring,
@@ -33,7 +35,9 @@ from projchar.surfalg import (
     KunnethClass,
     ParameterAlgebra,
     SurfaceRing,
+    canonicality_check,
     random_kunneth,
+    random_param_element,
 )
 from projchar.univdet import ParabolicDatum, ParabolicPoint
 
@@ -263,6 +267,22 @@ class TestZBasis:
                 assert all(type(c) is int for c in got.terms.values()), (n, k)
                 assert got == expected[k - 1], (n, k)
 
+    def test_generators_pack_past_a_width_step(self):
+        # z_k of weight 256 and up needs 16-bit fields; the closed form,
+        # written out with exponent tuples, is the reference
+        n = 260
+        ring = projclass.ChernRing(n)
+        for k in (2, 255, 256, 260):
+            pairs = []
+            for i in range(k + 1):
+                exps = [k - i] + [0] * (n - 1)
+                if i:
+                    exps[i - 1] += 1
+                pairs.append((exps, math.comb(n - i, k - i) * (-1) ** (k - i) * n**i))
+            got = z_basis(ring, k)
+            assert got == RationalPoly(ring.c_ring, pairs), k
+            assert got._width == (8 if k < 256 else 16), k
+
     def test_weight_and_degree(self):
         poly = z_basis(chern_ring(4), 3)
         assert poly.homogeneous_weight() == 3
@@ -425,7 +445,7 @@ class TestReduction:
                 assert names <= allowed
                 used = {
                     v.name
-                    for exps in data.P.terms
+                    for exps, _ in data.P.exponent_items()
                     for v, e in zip(data.P.ring, exps)
                     if e
                 }
@@ -558,6 +578,33 @@ class TestAClasses:
                 if hasattr(a, "terms"):
                     coefs = a.terms.values()
                     assert all(type(c) is int for c in coefs if c.denominator == 1)
+
+    @pytest.mark.parametrize("rank", range(2, 5))
+    def test_canonicality_checks_unpack_keys_once_per_rank(self, rank, monkeypatch):
+        unpacked = Counter()
+        unpacker = qpoly._unpacker
+
+        def counted(size, width):
+            unpack = unpacker(size, width)
+
+            def counting(key):
+                unpacked[size] += 1
+                return unpack(key)
+
+            return counting
+
+        monkeypatch.setattr(qpoly, "_unpacker", counted)
+        monkeypatch.setattr(projclass, "chern_ring", lru_cache(projclass.ChernRing))
+        algebra = ParameterAlgebra(PARAM_GENS, 2 * rank + 2)
+        surface = SurfaceRing(2)
+        rng = random.Random(950 + rank)
+        for check in range(3):
+            chern = [random_kunneth(rng, algebra, surface, 2 * i) for i in range(1, rank + 1)]
+            f = random_param_element(rng, algebra, 2)
+            assert canonicality_check(rank, chern, f).passed
+            # the first check plans the z_k(c) of the rank: each key once
+            terms = sum(len(z.terms) for z in projclass.chern_ring(rank)._z_in_c.values())
+            assert unpacked == Counter({rank: terms}), check
 
     @pytest.mark.parametrize("rank", range(2, 8))
     def test_one_shared_power_table(self, rank):

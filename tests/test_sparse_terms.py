@@ -9,6 +9,8 @@ from operator import add
 from types import MappingProxyType
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from projchar import projclass, surfalg
 from projchar.qpoly import (
@@ -17,6 +19,7 @@ from projchar.qpoly import (
     Variable,
     linear_combination,
     make_ring,
+    parse_poly,
 )
 from projchar.surfalg import (
     KunnethClass,
@@ -209,14 +212,33 @@ def _split(rng, coef, parts):
     return [*pieces, rest]
 
 
+def _items(element):
+    """The (key, coefficient) pairs of `terms`, a polynomial's with exponent tuples."""
+    if isinstance(element, RationalPoly):
+        return element.exponent_items()
+    return list(element.terms.items())
+
+
+def _ordered(element):
+    """The keys in term order, a polynomial's as exponent tuples."""
+    keys = element._ordered_keys()
+    if isinstance(element, RationalPoly):
+        return [element._exponents_of(key) for key in keys]
+    return keys
+
+
 def _text_terms(element, in_order):
     """The (key, coefficient) pairs that to_text writes, in the order it writes them.
 
-    A Kunneth class writes one term per part: its ParamElement, by basis key.
+    `in_order` lists the keys as `_items` gives them.  A Kunneth class
+    writes one term per part: its ParamElement, by basis key.
     """
     if isinstance(element, KunnethClass):
         parts = element.parts
         return [(key, parts[key]) for key in sorted(parts)]
+    if isinstance(element, RationalPoly):
+        packed = {element._exponents_of(key): key for key in element.terms}
+        in_order = [packed[exps] for exps in in_order]
     return [(key, element.terms[key]) for key in in_order]
 
 
@@ -237,7 +259,7 @@ class TestCanonicalForm:
         reference = build(summed)
         for element in (build(pairs), build(iter(pairs))):
             assert element.terms == reference.terms
-            assert element._ordered_keys() == documented_sort(reference.terms)
+            assert _ordered(element) == documented_sort(dict(_items(reference)))
             assert element.to_text() == reference.to_text()
 
     @pytest.mark.parametrize("kind", list(_canonical_cases()))
@@ -247,15 +269,15 @@ class TestCanonicalForm:
         rng = random.Random(50 + seed)
         element = build([(rng.choice(keys), coef(rng)) for _ in range(12)])
         assert all(c != 0 for c in element.terms.values())
-        in_order = documented_sort(element.terms)
-        assert element._ordered_keys() == in_order
+        in_order = documented_sort([key for key, _ in _items(element)])
+        assert _ordered(element) == in_order
         texts = [element._term_text(k, c) for k, c in _text_terms(element, in_order)]
         assert element.to_text() == (" + ".join(texts) or "0")
 
     def test_read_only_mappings_are_accepted(self):
         ring = make_ring(Variable("x"), Variable("y", 2))
         terms = {(1, 0): 2, (0, 1): Fraction(1, 2)}
-        assert RationalPoly(ring, MappingProxyType(terms)).terms == terms
+        assert dict(RationalPoly(ring, MappingProxyType(terms)).exponent_items()) == terms
         algebra, surface = ParameterAlgebra(GENS, 6), SurfaceRing(1)
         parts = {(0, 0, 0): algebra.gen("u1"), (2, 0, 0): 3 * algebra.gen("v1")}
         proxied = KunnethClass(algebra, surface, MappingProxyType(parts))
@@ -276,17 +298,19 @@ class TestCanonicalForm:
 
 
 class TestOrderOnlyInText:
-    """Arithmetic never orders terms: only text asks for the order hook."""
+    """Arithmetic never orders terms: only text asks for the order."""
 
-    def test_order_hook_runs_only_when_text_is_made(self, monkeypatch):
+    def test_polynomial_order_runs_only_when_text_is_made(self, monkeypatch):
+        # packed keys sort as plain ints: a polynomial has no order hook
+        assert RationalPoly._order is None and "_order" not in vars(RationalPoly)
         calls = []
-        order = RationalPoly._order
+        ordered_keys = SparseTerms._ordered_keys
 
-        def counted(self, exps):
-            calls.append(exps)
-            return order(self, exps)
+        def counted(self):
+            calls.append(self)
+            return ordered_keys(self)
 
-        monkeypatch.setattr(RationalPoly, "_order", counted)
+        monkeypatch.setattr(SparseTerms, "_ordered_keys", counted)
         ring = projclass.ChernRing(6)
         c = [RationalPoly.gen(ring.c_ring, v) for v in ring.c_ring]
         projclass.twist(c, -c[0], RationalPoly.const(ring.c_ring, 1))
@@ -295,7 +319,22 @@ class TestOrderOnlyInText:
         end = projclass._end_classes(4)
         assert calls == []
         end[8].to_text()
-        assert sorted(calls) == sorted(end[8].terms)
+        assert calls == [end[8]]
+
+    def test_order_hook_runs_only_when_text_is_made(self, monkeypatch):
+        calls = []
+        order = ParamElement._order
+
+        def counted(self, exps):
+            calls.append(exps)
+            return order(self, exps)
+
+        monkeypatch.setattr(ParamElement, "_order", counted)
+        x = mixed_param_element(random.Random(20), ParameterAlgebra(GENS, 6))
+        power = x**3 - 2 * x * x + x
+        assert calls == []
+        power.to_text()
+        assert sorted(calls) == sorted(power.terms)
 
 
 # -- the product ---------------------------------------------------------------
@@ -329,6 +368,10 @@ class TestProduct:
         assert "_product_rows" in vars(cls)
         assert not any(hasattr(c, "_times") for c in (cls, SparseTerms))
         assert "_mul" in vars(SparseTerms) and "_make" in vars(SparseTerms)
+        # only packed int keys have a width, which the kernel's loop keeps
+        packed = cls is RationalPoly
+        assert all((hook in vars(cls)) == packed for hook in ("_top", "_at", "_narrow"))
+        assert (cls._width == 0) != packed and SparseTerms._width == 0
 
     @pytest.mark.parametrize("kind", list(_product_cases()))
     @pytest.mark.parametrize("seed", range(4))
@@ -355,7 +398,7 @@ class TestProduct:
         x, y = Variable("x"), Variable("y")
         ring = make_ring(x, y)
         s, t = RationalPoly.gen(ring, x), RationalPoly.gen(ring, y)
-        assert ((s + t) * (s - t)).terms == {(2, 0): 1, (0, 2): -1}
+        assert dict(((s + t) * (s - t)).exponent_items()) == {(2, 0): 1, (0, 2): -1}
 
     def test_products_cancelling_to_zero(self):
         algebra = ParameterAlgebra(GENS, 4)
@@ -387,9 +430,7 @@ def _raw_product_pairs(a, b):
     """
     if isinstance(a, KunnethClass):
         return _pairs(kunneth_product_by_parts(a, b))
-    term_pairs = [
-        (k1, c1, k2, c2) for k1, c1 in a.terms.items() for k2, c2 in b.terms.items()
-    ]
+    term_pairs = [(k1, c1, k2, c2) for k1, c1 in _pairs(a) for k2, c2 in _pairs(b)]
     if isinstance(a, ParamElement):
         sign = a.algebra.koszul_sign
         return [
@@ -405,10 +446,12 @@ def _raw_product_pairs(a, b):
 def _pairs(element):
     """The (key, coefficient) pairs the public constructor takes back.
 
-    For a Kunneth class these are its parts, (surface key, ParamElement).
+    For a polynomial the keys are exponent tuples; for a Kunneth class the
+    pairs are its parts, (surface key, ParamElement).
     """
-    source = element.parts if isinstance(element, KunnethClass) else element.terms
-    return list(source.items())
+    if isinstance(element, KunnethClass):
+        return list(element.parts.items())
+    return _items(element)
 
 
 def _public(element, pairs):
@@ -486,8 +529,8 @@ class TestTrustedPath:
         x = Variable("x")
         ring = make_ring(x)
         p = RationalPoly(ring, {(1,): Fraction(2, 4), (0,): Fraction(3)})
-        assert p.terms == {(1,): Fraction(1, 2), (0,): 3}
-        assert {e: type(c) for e, c in p.terms.items()} == {(1,): Fraction, (0,): int}
+        assert dict(p.exponent_items()) == {(1,): Fraction(1, 2), (0,): 3}
+        assert {e: type(c) for e, c in p.exponent_items()} == {(1,): Fraction, (0,): int}
         assert p.to_text() == "1/2*x + 3"
         assert (p * Fraction(1, 3)).to_text() == "1/6*x + 1"
         assert type(p.coefficient((1,))) is Fraction
@@ -608,10 +651,20 @@ class TestPairCounts:
         ring = make_ring(Variable("x"), Variable("y", 2))
         p = RationalPoly(ring, {(1, 0): 2, (0, 1): Fraction(-1, 2), (0, 0): 3})
         q = RationalPoly(ring, {(2, 1): Fraction(4, 3), (1, 0): -1, (0, 2): 5})
-        # no rows: the kernel loop adds the exponent vectors of each pair itself
+        # no rows: the kernel loop adds the int keys of each pair itself
         assert p._product_rows(q) is None
         for a, b in ((p, q), (q, p), (p, p)):
-            _assert_same_terms(a * b, _public(a, _raw_product_pairs(a, b)))
+            product = a * b
+            _assert_same_terms(product, _public(a, _raw_product_pairs(a, b)))
+            assert all(type(key) is int for key in product.terms)
+            sums = {k1 + k2 for k1 in a.terms for k2 in b.terms}
+            assert set(product.terms) <= sums
+        # past a width step the operands are widened once, then keys add
+        heavy = RationalPoly(ring, {(200, 0): 1, (0, 60): -2})
+        assert (heavy._width, (heavy * heavy)._width) == (8, 16)
+        _assert_same_terms(heavy * heavy, _public(heavy, _raw_product_pairs(heavy, heavy)))
+        wide = [heavy._at(16).terms, heavy._at(16).terms]
+        assert set((heavy * heavy).terms) <= {k1 + k2 for k1 in wide[0] for k2 in wide[1]}
 
 
 class TestNoRevalidation:
@@ -691,15 +744,15 @@ class TestLinearCombination:
         p = RationalPoly(ring, {(1, 0): 1, (0, 1): Fraction(3, 2), (0, 0): 5})
         q = RationalPoly(ring, {(1, 0): half, (0, 1): half})
         got = linear_combination([(half, p), (3, q), (half, p)], RationalPoly.zero(ring))
-        assert got.terms == {(1, 0): Fraction(5, 2), (0, 1): 3, (0, 0): 5}
-        assert {e: type(c) for e, c in got.terms.items()} == {
+        assert dict(got.exponent_items()) == {(1, 0): Fraction(5, 2), (0, 1): 3, (0, 0): 5}
+        assert {e: type(c) for e, c in got.exponent_items()} == {
             (1, 0): Fraction,
             (0, 1): int,
             (0, 0): int,
         }
         # the running sum keeps what + returns there: a Fraction equal to 3
         running = linear_combination_by_addition([(half, p), (3, q), (half, p)], p * 0)
-        assert running == got and type(running.terms[0, 1]) is Fraction
+        assert running == got and type(running.coefficient((0, 1))) is Fraction
         algebra, surface = ParameterAlgebra(GENS, 6), SurfaceRing(1)
         k = KunnethClass.from_surface(algebra, SurfaceClass.alpha(surface, 1) * half)
         # 1/2*alpha1 taken 1 + 1/2*2 + 2 times: the coefficient 2 is an int
@@ -711,8 +764,100 @@ class TestLinearCombination:
         ring = make_ring(Variable("x"))
         x = RationalPoly.gen(ring, Variable("x"))
         got = linear_combination([(2, x), (3, Fraction(1, 3)), (1, 4)], x * 0)
-        assert got.terms == {(1,): 2, (0,): 5}
+        assert dict(got.exponent_items()) == {(1,): 2, (0,): 5}
         with pytest.raises(ValueError, match="^ring mismatch$"):
             linear_combination([(1, x), (1, RationalPoly.zero(ring + (Variable("w"),)))], x)
         with pytest.raises(TypeError, match="cannot add str to RationalPoly"):
             linear_combination([(1, "x")], x)
+
+
+# -- packed keys ----------------------------------------------------------------
+
+WEIGHTED = make_ring(Variable("x"), Variable("y", 2), Variable("z", 3))
+
+# exponents near each width step: weights 255/256, 65535/65536 and 2^64
+_EXPONENT = st.one_of(
+    st.integers(0, 3),
+    st.integers(40, 130),
+    st.integers(2**15 - 4, 2**15 + 4),
+    st.integers(2**62 - 2, 2**62 + 2),
+)
+_PAIRS = st.lists(
+    st.tuples(
+        st.tuples(_EXPONENT, _EXPONENT, _EXPONENT),
+        st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    ),
+    max_size=4,
+)
+
+
+def _tuple_terms(pairs):
+    """The exponent-tuple map of (exponents, coefficient) pairs: summed, zeros dropped."""
+    acc = {}
+    for exps, coef in pairs:
+        acc[exps] = acc.get(exps, 0) + coef
+    return {e: c for e, c in acc.items() if c}
+
+
+def _tuple_text(terms, ring):
+    """The documented text of an exponent-tuple map, written out independently."""
+    weight = lambda e: sum(v.weight * a for v, a in zip(ring, e))  # noqa: E731
+    texts = []
+    for e in sorted(terms, key=lambda e: (weight(e), e), reverse=True):
+        factors = [v.name if a == 1 else f"{v.name}^{a}" for v, a in zip(ring, e) if a]
+        texts.append("*".join([str(Fraction(terms[e])), *factors]))
+    return " + ".join(texts) or "0"
+
+
+def _assert_matches_tuples(result, pairs):
+    terms = _tuple_terms(pairs)
+    assert dict(result.exponent_items()) == terms
+    assert result == RationalPoly(result.ring, pairs)
+    assert result.to_text() == _tuple_text(terms, result.ring)
+
+
+class TestPackedKeys:
+    """Packed int keys against exponent tuples, across the width steps."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_PAIRS, _PAIRS, st.integers(0, 3))
+    @example([((130, 0, 0), 1)], [((0, 0, 42), 2)], 2)  # 130 * 2 passes 255
+    @example([((0, 2**15, 0), 1)], [((0, 0, 2**15), -1)], 1)  # 2^17 + 2^16 passes 65535
+    @example([((0, 0, 2**62), 1)], [((2**62, 0, 0), 1)], 2)  # 3 * 2^63 passes 2^64
+    def test_arithmetic_matches_the_exponent_tuple_oracle(self, a_pairs, b_pairs, e):
+        a, b = RationalPoly(WEIGHTED, a_pairs), RationalPoly(WEIGHTED, b_pairs)
+        _assert_matches_tuples(a + b, a_pairs + b_pairs)
+        _assert_matches_tuples(a - b, a_pairs + [(k, -c) for k, c in b_pairs])
+        _assert_matches_tuples(a * b, _raw_product_pairs(a, b))
+        power = [((0, 0, 0), 1)]
+        for _ in range(e):
+            power = _raw_product_pairs(RationalPoly(WEIGHTED, power), a)
+        _assert_matches_tuples(a**e, power)
+        assert (a * b == b * a) and ((a + b) - b == a)
+
+    def test_equal_polynomials_have_equal_terms(self):
+        x, y, z = (RationalPoly.gen(WEIGHTED, v) for v in WEIGHTED)
+        heavy = x**300  # weight 300: 16-bit fields
+        want = RationalPoly(WEIGHTED, {(0, 1, 0): 2, (1, 0, 0): -1})
+        routes = {
+            "text": parse_poly("2*y + -1*x", WEIGHTED),
+            "cancelled sum": (heavy + 2 * y - x) - heavy,
+            "cancelled combination": linear_combination(
+                [(1, heavy), (2, y), (-1, x), (-1, heavy)], RationalPoly.zero(WEIGHTED)
+            ),
+            "component": (heavy + 2 * y).homogeneous_components()[2] - x,
+            "cancelled product": (heavy + 1) * (2 * y - x) - heavy * (2 * y - x),
+            "fused step": x._mul(-heavy, (heavy * x) + 2 * y - x),
+            "substitution": (heavy * z + 2 * y - x).substitute(
+                {WEIGHTED[2]: RationalPoly.zero(WEIGHTED)}, WEIGHTED
+            ),
+        }
+        for name, got in routes.items():
+            assert got.terms == want.terms and got._width == want._width == 8, name
+        parts = (heavy + 2 * y - x).homogeneous_components()
+        assert parts[1].terms == (-x).terms and parts[2].terms == (2 * y).terms
+        wide = RationalPoly(WEIGHTED, {(0, 0, 100): 1, (300, 0, 0): 1})
+        assert (z**100 + heavy).terms == wide.terms and wide._width == 16
+        # an exponent past every field of the width is absent, not aliased
+        assert want.coefficient((0, 1, 0)) == 2 and want.coefficient((256, 1, 0)) == 0
+        assert want.coefficient((0, 1, 2**64)) == 0 and want.coefficient((1, 0)) == 0
