@@ -536,7 +536,7 @@ class RationalPoly(SparseTerms):
 
     def term_weight(self, key: int) -> int:
         """The weight of the term with this key of `terms`: its top field."""
-        return key >> self._shift()
+        return key >> len(self.ring) * self._width
 
     def homogeneous_weight(self) -> int | None:
         """Common weight of all terms; None for the zero polynomial."""
@@ -545,7 +545,7 @@ class RationalPoly(SparseTerms):
 
     def homogeneous_components(self) -> dict[int, "RationalPoly"]:
         buckets: dict[int, dict[int, int | Fraction]] = {}
-        shift = self._shift()
+        shift = len(self.ring) * self._width
         for key, coef in self.terms.items():
             buckets.setdefault(key >> shift, {})[key] = coef
         return {w: self._make(t) for w, t in sorted(buckets.items())}
@@ -587,10 +587,6 @@ class RationalPoly(SparseTerms):
 
     def _unpack(self) -> Any:
         return _unpacker(len(self.ring), self._width)
-
-    def _shift(self) -> int:
-        """The position of the weight field in a key."""
-        return len(self.ring) * self._width
 
     def _exponents_of(self, key: int) -> Exponents:
         return self._unpack()(key)[1:]
