@@ -368,10 +368,12 @@ class TestProduct:
         assert "_product_rows" in vars(cls)
         assert not any(hasattr(c, "_times") for c in (cls, SparseTerms))
         assert "_mul" in vars(SparseTerms) and "_make" in vars(SparseTerms)
-        # only packed int keys have a width, which the kernel's loop keeps
+        # only packed int keys have a width: the other types keep the
+        # kernel's 0, and the loop adds keys for RationalPoly alone
         packed = cls is RationalPoly
-        assert all((hook in vars(cls)) == packed for hook in ("_top", "_at", "_narrow"))
-        assert (cls._width == 0) != packed and SparseTerms._width == 0
+        hooks = ("_width", "_top", "_at", "_narrow")
+        assert all((hook in vars(cls)) == packed for hook in hooks)
+        assert SparseTerms._width == 0
 
     @pytest.mark.parametrize("kind", list(_product_cases()))
     @pytest.mark.parametrize("seed", range(4))
