@@ -55,6 +55,7 @@ from .qpoly import (
     _plan,
     _rung,
     first_difference,
+    linear_combination,
     linear_solve,
     make_ring,
 )
@@ -153,7 +154,10 @@ def twist(values: Sequence[Any], f: Any, one: Any) -> list[Any]:
 
     values holds c_1..c_n in any commutative coefficient ring supporting +,
     * and integer multiples; one is its unit.  The closed form is
-    c'_k = sum_{i=0..k} C(n-i, k-i) * c_i * f^(k-i) with c_0 = one.
+    c'_k = sum_{i=0..k} C(n-i, k-i) * c_i * f^(k-i) with c_0 = one: each
+    c'_k is one `linear_combination` into c_k of the products c_i * f^(k-i)
+    and f^k, so a rank-n list costs n-1 powers of f, n(n-1)/2 products and
+    n sums, and no value is changed.
     """
     n = len(values)
     powers = [one, f]
@@ -161,10 +165,8 @@ def twist(values: Sequence[Any], f: Any, one: Any) -> list[Any]:
         powers.append(powers[-1] * f)
     out = []
     for k in range(1, n + 1):
-        acc = math.comb(n, k) * powers[k]
-        for i in range(1, k):
-            acc = acc + math.comb(n - i, k - i) * values[i - 1] * powers[k - i]
-        out.append(acc + values[k - 1])
+        pairs = [(math.comb(n - i, k - i), values[i - 1] * powers[k - i]) for i in range(1, k)]
+        out.append(linear_combination([*pairs, (math.comb(n, k), powers[k])], values[k - 1]))
     return out
 
 
@@ -321,18 +323,18 @@ def _y_power_sums(n: int) -> list[RationalPoly]:
 
     Their elementary classes are e_1 = 0 and e_k = z_k; Newton's identities
     p_m = sum_{i=1..m-1} (-1)^(i-1) e_i p_{m-i} + (-1)^(m-1) m e_m give the
-    power sums, with p_0 = n and e_k = 0 for k > n.
+    power sums, with p_0 = n and e_k = 0 for k > n.  Each p_m is one
+    `linear_combination` of the products e_i * p_{m-i} (i >= 2, as e_1 = 0)
+    and e_m.
     """
     ring = chern_ring(n)
     zero = RationalPoly.zero(ring.z_ring)
     z = [RationalPoly.gen(ring.z_ring, v) for v in ring.z_ring]
-    e = [RationalPoly.const(ring.z_ring, 1), zero, *z]
+    e = [RationalPoly.const(ring.z_ring, 1), zero, *z] + [zero] * (n * n - n)
     p = [RationalPoly.const(ring.z_ring, n)]
     for m in range(1, n * n + 1):
-        acc = (-1) ** (m - 1) * m * e[m] if m <= n else zero
-        for i in range(2, min(m - 1, n) + 1):
-            acc = acc + (-1) ** (i - 1) * e[i] * p[m - i]
-        p.append(acc)
+        pairs = [((-1) ** (i - 1), e[i] * p[m - i]) for i in range(2, min(m - 1, n) + 1)]
+        p.append(linear_combination([*pairs, ((-1) ** (m - 1) * m, e[m])], zero))
     return p
 
 
@@ -379,23 +381,21 @@ def _end_classes(n: int) -> tuple[RationalPoly, ...]:
     P_m = sum_i (-1)^(m-i) C(m,i) p_i p_{m-i} of the y-power sums p_i, zero
     for odd m, and Newton's identities j*e_j = sum_{i=1..j} (-1)^(i-1)
     e_{j-i} P_i turn them back into their elementary classes n^j * c_j(End),
-    so the odd classes vanish too.  The division by j is exact over Z and
-    checked; the division by n^j is left to each answer.
+    so the odd classes vanish too.  Step j (even) sums P_j, then j*e_j from
+    P_2..P_j, each with one `linear_combination` of its products.  The
+    division by j is exact over Z and checked; the division by n^j is left
+    to each answer.
     """
     ring = chern_ring(n)
     zero = RationalPoly.zero(ring.z_ring)
     p = _y_power_sums(n)
     P = [zero] * (n * n + 1)
-    for m in range(2, n * n + 1, 2):
-        acc = (-1) ** (m // 2) * math.comb(m, m // 2) * p[m // 2] ** 2
-        for i in range(m // 2):
-            acc = acc + 2 * (-1) ** i * math.comb(m, i) * p[i] * p[m - i]
-        P[m] = acc
     es = [RationalPoly.const(ring.z_ring, 1)] + [zero] * (n * n)
     for j in range(2, n * n + 1, 2):
-        acc = zero
-        for i in range(2, j + 1, 2):
-            acc = acc - es[j - i] * P[i]
+        pairs = [(2 * (-1) ** i * math.comb(j, i), p[i] * p[j - i]) for i in range(j // 2)]
+        square = ((-1) ** (j // 2) * math.comb(j, j // 2), p[j // 2] ** 2)
+        P[j] = linear_combination([*pairs, square], zero)
+        acc = linear_combination([(-1, es[j - i] * P[i]) for i in range(2, j + 1, 2)], zero)
         es[j] = _divide_exactly(n, j, acc)
     _check_end_classes(n, es)
     return tuple(es)

@@ -60,7 +60,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import index, mul
 from typing import Any
 
 __all__ = [
@@ -158,6 +158,19 @@ def _unpacker(size: int, width: int) -> Any:
     return lambda key: tuple([key >> shift & (1 << width) - 1 for shift in shifts])
 
 
+def _integer_entries(exps: Iterable[int]) -> Exponents:
+    """The entries of an exponent vector as ints, through `operator.index`.
+
+    A float, `Fraction` or string entry raises ValueError naming the vector,
+    rather than being truncated or parsed into an exponent.
+    """
+    exps = tuple(exps)
+    try:
+        return tuple(map(index, exps))
+    except TypeError:
+        raise ValueError(f"exponent vector {exps} has a non-integer entry") from None
+
+
 class SparseTerms:
     """Canonical form and arithmetic shared by the sparse "key -> coefficient" types.
 
@@ -244,7 +257,7 @@ class SparseTerms:
     @staticmethod
     def _exponents(exps: Iterable[int], size: int, space: str) -> Exponents:
         """A checked exponent-vector key; `space` formats `size` for the message."""
-        exps = tuple(map(int, exps))
+        exps = _integer_entries(exps)
         if len(exps) != size:
             raise ValueError(f"exponent vector {exps} does not fit {space.format(size)}")
         if min(exps, default=0) < 0:
@@ -521,7 +534,12 @@ class RationalPoly(SparseTerms):
     # -- basic structure -------------------------------------------------
 
     def coefficient(self, exps: Sequence[int]) -> int | Fraction:
-        exps = tuple(exps)
+        """The coefficient of the monomial with these exponents.
+
+        It is 0 for a vector of the wrong length, with a negative entry or
+        heavier than every term; a non-integer entry raises ValueError.
+        """
+        exps = _integer_entries(exps)
         if len(exps) != len(self.ring) or min(exps, default=0) < 0:
             return 0
         weight = sum([v.weight * e for v, e in zip(self.ring, exps)])
@@ -747,7 +765,9 @@ def parse_poly(text: str, ring: Iterable[Variable]) -> RationalPoly:
 
     Terms are separated by '+', factors inside a term by '*'; a factor is
     either an integer or p/q coefficient or a variable with an optional
-    positive exponent.  A bare variable without a coefficient is accepted.
+    exponent of decimal digits.  A zero exponent is accepted: `x^0` and
+    `x^00` are the factor 1.  A bare variable without a coefficient is
+    accepted.
     """
     ring = make_ring(*ring)
     by_name = {v.name: i for i, v in enumerate(ring)}

@@ -99,6 +99,12 @@ class TestInvarianceCheck:
         code, out, _ = run(capsys, "invariance-check", "2", "1*c2 + -1/4*c1^2")
         assert code == 0
         assert out == "invariant: yes\nz-expression: 1/4*z2\n"
+        # a zero exponent parses, and the factor reads as 1
+        assert run(capsys, "invariance-check", "2", "1*c1^0") == (
+            0,
+            "invariant: yes\nz-expression: 1\n",
+            "",
+        )
 
     def test_non_invariant_polynomial(self, capsys):
         code, out, _ = run(capsys, "invariance-check", "2", "1*c1")

@@ -23,6 +23,7 @@ from projchar.projclass import (
 )
 from projchar.qpoly import (
     RationalPoly,
+    SparseTerms,
     Variable,
     elementary_symmetric_all,
     express_in_elementary,
@@ -130,6 +131,37 @@ class TestIntegralClasses:
         classes = projclass._end_classes.__wrapped__(4)
         assert made == []
         assert classes == projclass._end_classes(4)
+
+    def test_build_sums_each_step_once_and_changes_no_input(self, monkeypatch):
+        # one linear_combination per power sum p_1..p_16, per P_m and per
+        # j*e_j (m, j even): 16 + 8 + 8 sums and 167 elements in all
+        chern_ring(4)._z_in_c  # the generators are built before counting
+        cached = projclass._end_classes(4)
+        before = [dict(e.terms) for e in cached]
+        sums = []
+        combine = projclass.linear_combination
+
+        def summed(pairs, zero):
+            pairs = list(pairs)
+            values = [(v, dict(v.terms)) for _, v in pairs]
+            sums.append((zero, dict(zero.terms), values))
+            return combine(pairs, zero)
+
+        made = []
+        make = SparseTerms._make
+
+        def counted(self, acc):
+            made.append(self)
+            return make(self, acc)
+
+        monkeypatch.setattr(projclass, "linear_combination", summed)
+        monkeypatch.setattr(SparseTerms, "_make", counted)
+        classes = projclass._end_classes.__wrapped__(4)
+        assert len(made) == 167 and len(sums) == 16 + 8 + 8
+        for zero, terms, values in sums:
+            assert zero.terms == terms
+            assert all(v.terms == t for v, t in values)
+        assert classes == cached and [dict(e.terms) for e in cached] == before
 
     def test_each_answer_divides_once_by_n_to_the_j(self, monkeypatch):
         divisors = []

@@ -288,6 +288,8 @@ class TestTextFormat:
 
     def test_exponent_one_omitted(self):
         assert parse_poly("1*x^1", RING).to_text() == "1*x"
+        # a zero exponent is accepted and makes the factor 1
+        assert parse_poly("2*x^0*z + 1*y^00", RING).to_text() == "2*z + 1"
 
     def test_parse_accepts_bare_variable(self):
         assert parse_poly("x", RING) == RationalPoly.gen(RING, X)

@@ -564,6 +564,25 @@ class TestTrustedPath:
         with pytest.raises(TypeError, match="part values must be ParamElement"):
             KunnethClass(algebra, SurfaceRing(1), {(0, 0, 0): 1})
 
+    @pytest.mark.parametrize("entry", [1.5, 1.0, Fraction(2), "2"])
+    def test_non_integer_exponents_are_rejected(self, entry):
+        # an entry is an exponent only through operator.index: a float,
+        # Fraction or string is neither truncated nor parsed
+        ring = make_ring(Variable("x"), Variable("y"))
+        algebra = ParameterAlgebra(GENS, 4)
+        message = r"^exponent vector \(.+, 0\) has a non-integer entry$"
+        with pytest.raises(ValueError, match=message):
+            RationalPoly(ring, {(entry, 0): 1})
+        with pytest.raises(ValueError, match=message):
+            ParamElement(algebra, {(entry, 0, 0, 0): 1})
+        # coefficient raises alike, and still reads 0 for a vector of the
+        # wrong length, with a negative entry or past the width
+        x = RationalPoly.gen(ring, ring[0])
+        with pytest.raises(ValueError, match=message):
+            x.coefficient((entry, 0))
+        assert x.coefficient((1, 0)) == 1 and x.coefficient((True, False)) == 1
+        assert x.coefficient((1,)) == x.coefficient((-1, 1)) == x.coefficient((256, 0)) == 0
+
 
 class TestProductMemo:
     """Monomial products read from each algebra's memo match the direct rule."""

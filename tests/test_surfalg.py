@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projchar import surfalg
+from projchar import projclass, surfalg
+from projchar.qpoly import SparseTerms
 from projchar.surfalg import (
     K_OMEGA,
     K_ONE,
@@ -550,6 +551,32 @@ class TestTwist:
         chern = random_chern_list(rng, self.alg, self.ring, 3)
         f = random_param_element(rng, self.alg, 2)
         assert twist_chern(3, twist_chern(3, chern, f), -f) == chern
+
+    @pytest.mark.parametrize("rank, built", [(2, 4), (3, 8), (4, 13)])
+    def test_twist_builds_powers_products_and_one_sum_per_class(
+        self, monkeypatch, rank, built
+    ):
+        # n-1 powers of f, one product per summand c_i * f^(k-i) and one
+        # linear_combination per class: (n-1) + n(n-1)/2 + n elements
+        rng = random.Random(40 + rank)
+        chern = random_chern_list(rng, self.alg, self.ring, rank)
+        f = random_param_element(rng, self.alg, 2)
+        before = [dict(c.terms) for c in chern], dict(f.terms)
+        sums = []
+        combine = projclass.linear_combination
+
+        def counted(pairs, zero):
+            sums.append(zero)
+            return combine(pairs, zero)
+
+        monkeypatch.setattr(projclass, "linear_combination", counted)
+        calls = count_calls(monkeypatch, (SparseTerms, "_make"))
+        out = twist_chern(rank, chern, f)
+        assert calls == Counter({"_make": built}), calls
+        # each c'_k is one sum into c_k, and no input is changed
+        assert len(sums) == rank and all(a is b for a, b in zip(sums, chern))
+        assert ([dict(c.terms) for c in chern], dict(f.terms)) == before
+        assert twist_chern(rank, out, -f) == chern
 
     def test_wrong_list_length(self):
         with pytest.raises(ValueError):
