@@ -13,11 +13,10 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from random import Random
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from . import projclass, univdet
 from .qpoly import RationalPoly, Variable, format_fraction, parse_poly
@@ -25,8 +24,7 @@ from .qpoly import RationalPoly, Variable, format_fraction, parse_poly
 _CVAR_RE = re.compile(r"c([1-9]\d*)")
 
 
-@dataclass
-class CommandOutput:
+class CommandOutput(NamedTuple):
     result: Any
     audit: list[str]
     text: str

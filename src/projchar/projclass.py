@@ -36,10 +36,9 @@ module also enumerates generator catalogs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 # linear_solve and express_in_elementary have no caller here, but they stay
 # bound, like elementary_symmetric_all: perfbench/layers.py wraps each of the
@@ -80,18 +79,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class ChernRing:
     """Symbol table for a fixed rank: classes c_i and generators z_k.
 
     Built once per rank: each z_k in the c_i, with integer coefficients.
+    Immutable; it equals and hashes as (rank,).
     """
 
-    rank: int
+    def __init__(self, rank: int) -> None:
+        if rank < 1:
+            raise ValueError(f"rank must be positive, got {rank}")
+        object.__setattr__(self, "rank", rank)
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError(f"rank must be positive, got {self.rank}")
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ChernRing:
+            return NotImplemented
+        return self.rank == other.rank
+
+    def __hash__(self) -> int:
+        return hash((self.rank,))
+
+    def __repr__(self) -> str:
+        return f"ChernRing(rank={self.rank!r})"
 
     @cached_property
     def c_ring(self) -> tuple[Variable, ...]:
@@ -132,8 +147,7 @@ def chern_ring(rank: int) -> ChernRing:
     return ChernRing(rank)
 
 
-@dataclass(frozen=True)
-class ReductionData:
+class ReductionData(NamedTuple):
     """Reduction identity a_k = P + lambda * c_k for rank n.
 
     lambda is nonzero and P involves only c_1 and a_2..a_{k-1}, so the

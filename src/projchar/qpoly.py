@@ -57,11 +57,10 @@ import math
 import re
 import struct
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import index, mul
-from typing import Any
+from typing import Any, NamedTuple
 
 __all__ = [
     "Variable",
@@ -83,18 +82,41 @@ __all__ = [
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-@dataclass(frozen=True)
 class Variable:
-    """Named generator with a positive grading weight."""
+    """Named generator with a positive grading weight.
 
-    name: str
-    weight: int = 1
+    Immutable; it equals and hashes as (name, weight).
+    """
 
-    def __post_init__(self) -> None:
-        if not _NAME_RE.fullmatch(self.name):
-            raise ValueError(f"bad variable name {self.name!r}")
-        if self.weight < 1:
-            raise ValueError(f"variable weight must be positive, got {self.weight}")
+    __slots__ = ("name", "weight")
+
+    def __init__(self, name: str, weight: int = 1) -> None:
+        if not _NAME_RE.fullmatch(name):
+            raise ValueError(f"bad variable name {name!r}")
+        if weight < 1:
+            raise ValueError(f"variable weight must be positive, got {weight}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "weight", weight)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return Variable, (self.name, self.weight)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Variable:
+            return NotImplemented
+        return self.name == other.name and self.weight == other.weight
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.weight))
+
+    def __repr__(self) -> str:
+        return f"Variable(name={self.name!r}, weight={self.weight!r})"
 
 
 Ring = tuple[Variable, ...]
@@ -891,8 +913,7 @@ def express_in_elementary(
 # -- exact linear algebra ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearSolveResult:
+class LinearSolveResult(NamedTuple):
     """Outcome of an exact linear solve: status plus the solution if unique."""
 
     status: str  # "unique" | "inconsistent" | "underdetermined"

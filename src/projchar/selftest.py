@@ -9,18 +9,16 @@ than specific frozen values, which live in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import projclass, qpoly, surfalg, univdet
 
 __all__ = ["SuiteResult", "run", "random_moduli_params"]
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     passed: int
     failed: int

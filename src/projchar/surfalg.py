@@ -33,12 +33,11 @@ shifts by exactly rank * f.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add, mul
+from operator import add, index, mul
 from random import Random
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 # a_classes has no caller here, but it stays bound: perfbench/layers.py wraps
 # it at its surfalg attribute, and a missing one fails `--trace 1` with a
@@ -84,15 +83,33 @@ def k_beta(i: int) -> BasisKey:
     return (1, 1, i)
 
 
-@dataclass(frozen=True)
 class SurfaceRing:
-    """Cohomology ring of a closed oriented surface of the given genus."""
+    """Cohomology ring of a closed oriented surface of the given genus.
 
-    genus: int
+    Immutable; it equals and hashes as (genus,).
+    """
 
-    def __post_init__(self) -> None:
-        if self.genus < 0:
-            raise ValueError(f"genus must be non-negative, got {self.genus}")
+    def __init__(self, genus: int) -> None:
+        if genus < 0:
+            raise ValueError(f"genus must be non-negative, got {genus}")
+        object.__setattr__(self, "genus", genus)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not SurfaceRing:
+            return NotImplemented
+        return self.genus == other.genus
+
+    def __hash__(self) -> int:
+        return hash((self.genus,))
+
+    def __repr__(self) -> str:
+        return f"SurfaceRing(genus={self.genus!r})"
 
     @cached_property
     def basis(self) -> tuple[BasisKey, ...]:
@@ -101,13 +118,25 @@ class SurfaceRing:
         return (K_ONE, *sorted(ones), K_OMEGA)
 
     @cached_property
-    def _key_set(self) -> frozenset[BasisKey]:
-        return frozenset(self.basis)
+    def _keys(self) -> dict[BasisKey, BasisKey]:
+        return {key: key for key in self.basis}
 
     def check_key(self, key: BasisKey) -> BasisKey:
-        if key not in self._key_set:
+        """The basis's own key equal to `key`.
+
+        An entry is read through `operator.index`, so a bool entry stands
+        for its int, and a float, `Fraction` or str entry raises ValueError
+        naming the key, as it does in a `RationalPoly` exponent vector.
+        """
+        basis_key = self._keys.get(key)
+        if basis_key is None:
             raise ValueError(f"{key} is not a basis key for genus {self.genus}")
-        return key
+        if key is not basis_key:
+            try:
+                tuple(map(index, key))
+            except TypeError:
+                raise ValueError(f"basis key {key} has a non-integer entry") from None
+        return basis_key
 
     def degree(self, key: BasisKey) -> int:
         return self.check_key(key)[0]
@@ -206,19 +235,40 @@ class SurfaceClass(SparseTerms):
         return self.terms.get(z.key, 0)
 
 
-@dataclass(frozen=True)
 class HomologyClass:
     """One homology basis element: [x0]; a_1..a_g, b_1..b_g; [X].
 
     Keys mirror the cohomology basis so that the pairing is the identity
     table: <1,[x0]> = <alpha_i,a_i> = <beta_i,b_i> = <omega,[X]> = 1.
+    The key kept is the ring's own basis key.  Immutable; it equals and
+    hashes as (ring, key).
     """
 
-    ring: SurfaceRing
-    key: BasisKey
+    __slots__ = ("ring", "key")
 
-    def __post_init__(self) -> None:
-        self.ring.check_key(self.key)
+    def __init__(self, ring: SurfaceRing, key: BasisKey) -> None:
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "key", ring.check_key(key))
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return HomologyClass, (self.ring, self.key)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not HomologyClass:
+            return NotImplemented
+        return self.ring == other.ring and self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.key))
+
+    def __repr__(self) -> str:
+        return f"HomologyClass(ring={self.ring!r}, key={self.key!r})"
 
     @property
     def degree(self) -> int:
@@ -255,7 +305,6 @@ def fundamental_class(ring: SurfaceRing) -> HomologyClass:
 Exponents = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class ParameterAlgebra:
     """Free graded-commutative algebra on named generators, truncated in degree.
 
@@ -270,21 +319,42 @@ class ParameterAlgebra:
     vanishes.  It holds at most one entry per ordered pair of monomials
     within the degree bound.  The memos of its Kunneth classes, one per
     surface ring, are kept here as well.
+
+    Immutable; it equals and hashes as (generators, max_degree), with the
+    generators stored as a tuple of (str, int) pairs.
     """
 
-    generators: tuple[tuple[str, int], ...]
-    max_degree: int
-
-    def __post_init__(self) -> None:
-        gens = tuple((str(n), int(d)) for n, d in self.generators)
-        object.__setattr__(self, "generators", gens)
+    def __init__(self, generators: Sequence[tuple[str, int]], max_degree: int) -> None:
+        gens = tuple((str(n), int(d)) for n, d in generators)
         names = [n for n, _ in gens]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate generator names: {names}")
         if any(d < 1 for _, d in gens):
             raise ValueError("generator degrees must be positive")
-        if self.max_degree < 0:
-            raise ValueError(f"max_degree must be non-negative, got {self.max_degree}")
+        if max_degree < 0:
+            raise ValueError(f"max_degree must be non-negative, got {max_degree}")
+        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "max_degree", max_degree)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ParameterAlgebra:
+            return NotImplemented
+        return self.generators == other.generators and self.max_degree == other.max_degree
+
+    def __hash__(self) -> int:
+        return hash((self.generators, self.max_degree))
+
+    def __repr__(self) -> str:
+        return (
+            f"ParameterAlgebra(generators={self.generators!r},"
+            f" max_degree={self.max_degree!r})"
+        )
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
@@ -643,8 +713,7 @@ def twist_chern(
     return twist(values, ft, KunnethClass.unit(algebra, ring))
 
 
-@dataclass(frozen=True)
-class CanonicalityReport:
+class CanonicalityReport(NamedTuple):
     """Outcome of the twist-invariance check.
 
     h0_shift is the change of the degree-0 slant of c_1, which is rank * f

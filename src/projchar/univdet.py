@@ -11,9 +11,10 @@ generators has weight 1.  This module decides the three coprimality
 conditions that make such a word possible and constructs the word from
 a Bezout identity a*u + b*v = 1, where a is u's inverse modulo |v|.
 
-A `ModuliParams` is validated once, when it is built (also by
-`dataclasses.replace`), so every function here trusts the object it is
-given; `ModuliParams.validate()` re-runs the same checks on demand.
+A `ModuliParams` is validated by its constructor, the only way to build
+one (`dataclasses.replace` does not apply to it), so every function here
+trusts the object it is given; `ModuliParams.validate()` re-runs the same
+checks on demand.  The other records here are named tuples of their fields.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Any, NamedTuple, Optional
 
 __all__ = [
     "ParabolicPoint",
@@ -48,8 +48,7 @@ __all__ = [
 CONDITIONS = ("C1", "C2", "C3")
 
 
-@dataclass(frozen=True)
-class ParabolicPoint:
+class ParabolicPoint(NamedTuple):
     """Marked point with flag multiplicities and strictly increasing weights in [0, 1)."""
 
     label: str
@@ -65,8 +64,7 @@ class ParabolicPoint:
         return sum(self.multiplicities[j - 1 :])
 
 
-@dataclass(frozen=True)
-class ParabolicDatum:
+class ParabolicDatum(NamedTuple):
     points: tuple[ParabolicPoint, ...] = ()
 
     def validate(self, rank: int) -> None:
@@ -96,21 +94,49 @@ class ParabolicDatum:
                 raise ValueError(f"{p.label!r}: weights must be strictly increasing")
 
 
-@dataclass(frozen=True)
 class ModuliParams:
     """Rank, degree, genus and parabolic datum of the moduli problem.
 
     It is validated once, when it is built, so one that exists is valid;
-    `validate()` re-runs the same checks on demand.
+    `validate()` re-runs the same checks on demand.  Immutable; it equals
+    and hashes as (n, d, g, datum).
     """
 
-    n: int
-    d: int
-    g: int
-    datum: ParabolicDatum = ParabolicDatum()
+    __slots__ = ("n", "d", "g", "datum")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, n: int, d: int, g: int, datum: ParabolicDatum = ParabolicDatum()
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "datum", datum)
         self.validate()
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return ModuliParams, (self.n, self.d, self.g, self.datum)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ModuliParams:
+            return NotImplemented
+        return (self.n, self.d, self.g, self.datum) == (
+            other.n, other.d, other.g, other.datum
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.d, self.g, self.datum))
+
+    def __repr__(self) -> str:
+        return (
+            f"ModuliParams(n={self.n!r}, d={self.d!r}, g={self.g!r},"
+            f" datum={self.datum!r})"
+        )
 
     def validate(self) -> None:
         if self.n < 1:
@@ -133,8 +159,7 @@ class ModuliParams:
 # -- determinant words --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LineFactor:
+class LineFactor(NamedTuple):
     """One word generator: Det U(k), det of a flag subbundle, or det of a fibre."""
 
     kind: str  # "det_u" | "det_flag" | "det_point"
@@ -174,8 +199,7 @@ def det_point(point: str) -> LineFactor:
     return LineFactor("det_point", point=point)
 
 
-@dataclass(frozen=True)
-class LineBundleWord:
+class LineBundleWord(NamedTuple):
     """Formal product of line factors with integer exponents (kept verbatim)."""
 
     factors: tuple[tuple[LineFactor, int], ...]
@@ -213,16 +237,14 @@ def weight_audit(word: LineBundleWord, params: ModuliParams) -> list[str]:
 # -- coprimality conditions ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConditionWitness:
+class ConditionWitness(NamedTuple):
     condition: str
     point: Optional[str] = None
     flag_index: Optional[int] = None
     tail_rank: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     witnesses: tuple[ConditionWitness, ...]
 
     @property

@@ -97,6 +97,35 @@ def test_cli_import_leaves_surfalg_unloaded():
     assert result.stdout == "False\n"
 
 
+def test_cli_import_leaves_dataclasses_unloaded():
+    # the records are written out by hand: importing dataclasses would also
+    # load inspect, ast, dis and tokenize on every cold CLI start
+    probe = (
+        "import sys; from projchar import cli;"
+        " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    found = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}" for name in names if name.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
 def test_package_exports_each_module_all_once():
     modules = (qpoly, projclass, surfalg, univdet)
     expected = ["__version__", *(name for m in modules for name in m.__all__)]

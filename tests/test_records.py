@@ -4,10 +4,12 @@ A record is built from its fields, by position or by keyword, with the
 defaults its signature names.  Its repr is `Name(field=value, ...)`, it
 equals and hashes as the tuple of its fields (and has no hash when that
 tuple has none), a record that validates
-rejects a bad field with its own message, and no field can be assigned
-or deleted.
+rejects a bad field with its own message, no field can be assigned or
+deleted, and a pickled or copied record equals the original.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 from inspect import Parameter, signature
 
@@ -306,3 +308,12 @@ def test_fields_cannot_be_assigned(record, make, make_other, text, params, rejec
     with pytest.raises(AttributeError):
         value.extra = 1
     assert value == make()
+
+
+@cases
+def test_pickle_and_copy_give_an_equal_record(
+    record, make, make_other, text, params, rejections
+):
+    value = make()
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is record and twin == value and repr(twin) == text

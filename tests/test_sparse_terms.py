@@ -22,6 +22,7 @@ from projchar.qpoly import (
     parse_poly,
 )
 from projchar.surfalg import (
+    HomologyClass,
     KunnethClass,
     ParamElement,
     ParameterAlgebra,
@@ -582,6 +583,34 @@ class TestTrustedPath:
             x.coefficient((entry, 0))
         assert x.coefficient((1, 0)) == 1 and x.coefficient((True, False)) == 1
         assert x.coefficient((1,)) == x.coefficient((-1, 1)) == x.coefficient((256, 0)) == 0
+
+    @pytest.mark.parametrize("entry", [1.0, Fraction(1)])
+    def test_non_integer_basis_keys_are_rejected(self, entry):
+        # the key equals the basis key (1, 0, 1) and hashes alike, but an
+        # entry counts only through operator.index, as in an exponent vector
+        ring = SurfaceRing(1)
+        algebra = ParameterAlgebra(GENS, 4)
+        key = (entry, 0, 1)
+        builds = [
+            lambda: SurfaceClass(ring, {key: 1}),
+            lambda: HomologyClass(ring, key),
+            lambda: KunnethClass(algebra, ring, {key: algebra.one()}),
+            lambda: ring.degree(key),
+        ]
+        message = r"^basis key \(.+, 0, 1\) has a non-integer entry$"
+        for build in builds:
+            with pytest.raises(ValueError, match=message):
+                build()
+
+    def test_basis_keys_are_stored_as_the_basis_keys(self):
+        ring = SurfaceRing(1)
+        algebra = ParameterAlgebra(GENS, 4)
+        (stored,) = SurfaceClass(ring, {(True, False, True): 1}).terms
+        assert type(stored[0]) is int and stored == (1, 0, 1)
+        assert stored is ring.basis[1]
+        assert HomologyClass(ring, (True, 0, 1)).key is ring.basis[1]
+        (term,) = KunnethClass(algebra, ring, {(True, 0, 1): algebra.one()}).terms
+        assert term[0] is ring.basis[1]
 
 
 class TestProductMemo:

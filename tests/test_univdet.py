@@ -185,10 +185,16 @@ class TestRejectionMessages:
         assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
 
     def test_replaced_copy(self, scalars, points, message):
+        # a copy with other field values is built through the constructor
         datum = ParabolicDatum(tuple(point(*p) for p in points))
         with pytest.raises(ValueError) as info:
-            replace(params(2, 1), n=scalars[0], d=scalars[1], g=scalars[2], datum=datum)
+            ModuliParams(n=scalars[0], d=scalars[1], g=scalars[2], datum=datum)
         assert str(info.value) == message
+
+
+def test_dataclasses_replace_builds_no_unvalidated_copy():
+    with pytest.raises(TypeError):
+        replace(params(2, 1), n=0)
 
 
 class TestWeights:
