@@ -12,7 +12,9 @@ running sum by + and * in place of the one-pass `linear_combination`
 and of the products that `elementary_symmetric_all` sums in place,
 and a Kunneth product written out part by part, over ParamElements, in
 place of the flat (surface key, monomial) terms of `KunnethClass` and
-their product memo.  Newstead's closed form for the Betti numbers of the
+their product memo, and a parser that reads every coefficient as a
+`Fraction` and hands exponent vectors to the checked constructor in place
+of the integer coefficients and packed keys of `parse_poly`.  Newstead's closed form for the Betti numbers of the
 rank-2 moduli space is an outside bound on the generator catalog.  None
 of this is on a library path.
 """
@@ -21,11 +23,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 
 from projchar.projclass import chern_ring, end_in_a
-from projchar.qpoly import RationalPoly, Variable, linear_solve, make_ring
+from projchar.qpoly import RationalPoly, Variable, linear_solve, make_ring, parse_fraction
 from projchar.surfalg import KunnethClass
 
 
@@ -236,6 +239,44 @@ def kunneth_product_by_parts(a, b):
                 sign, key = hit
                 pairs.append((key, p1 * p2.sign_twist(k1[0]) * sign))
     return KunnethClass(a.algebra, a.ring, pairs)
+
+
+_COEF_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
+_FACTOR_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(\d+))?")
+
+
+def parse_poly_by_fractions(text, ring):
+    """`parse_poly` the long way, with the same grammar and error texts.
+
+    Each coefficient factor is a `Fraction` from `parse_fraction`, each term
+    an exponent vector, and the checked `RationalPoly` constructor sums
+    equal monomials.
+    """
+    ring = make_ring(*ring)
+    by_name = {v.name: i for i, v in enumerate(ring)}
+    src = text.strip()
+    if not src:
+        raise ValueError("empty polynomial text")
+    terms = []
+    for chunk in src.split("+"):
+        chunk = chunk.strip()
+        if not chunk:
+            raise ValueError(f"empty term in {text!r}")
+        exps = [0] * len(ring)
+        coef = Fraction(1)
+        for factor in (f.strip() for f in chunk.split("*")):
+            if _COEF_RE.fullmatch(factor):
+                coef *= parse_fraction(factor)
+                continue
+            m = _FACTOR_RE.fullmatch(factor)
+            if not m:
+                raise ValueError(f"cannot parse factor {factor!r}")
+            name, exp = m.group(1), int(m.group(2) or 1)
+            if name not in by_name:
+                raise ValueError(f"unknown variable {name!r}")
+            exps[by_name[name]] += exp
+        terms.append((tuple(exps), coef))
+    return RationalPoly(ring, terms)
 
 
 def newstead_poincare_series(genus, top):

@@ -27,6 +27,7 @@ import tempfile
 from pathlib import Path
 
 from projchar.cli import main
+from projchar.projclass import chern_ring, z_basis
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_sweep.txt"
 
@@ -76,6 +77,13 @@ def _z2_power_in_c(e: int) -> str:
     return " + ".join(terms)
 
 
+def _rank_6_weight_20_in_c() -> str:
+    """z2^10 + 2*z4^5 - z5^4 + z2*z3^6 + z4^2*z6^2 at rank 6, in the c_i."""
+    ring = chern_ring(6)
+    z2, z3, z4, z5, z6 = (z_basis(ring, k) for k in range(2, 7))
+    return (z2**10 + 2 * z4**5 - z5**4 + z2 * z3**6 + z4**2 * z6**2).to_text()
+
+
 # each entry runs once as written and once with --json appended
 INVOCATIONS = [
     ["zbasis", "2", "2"],
@@ -112,6 +120,11 @@ INVOCATIONS = [
     [
         "aclass", "4", "--set", "c1=-1*c1", "--set", "c2=1*c1^2 + 1*c2",
         "--set", "c3=1/2*c1*c2 + 1*c3", "--set", "c4=1*c2^2 + -1*c1*c3 + 2*c4",
+    ],
+    # p/q coefficients, unreduced, repeated and summing to an integer
+    [
+        "aclass", "3", "--set", "c2=-3/4*c1*c1 + 2/4*c2",
+        "--set", "c3=1/3*c3*3 + 1/2*c1*c2 + 1/2*c2*c1",
     ],
     ["end-chern", "2", "2"],
     ["end-chern", "3", "2"],
@@ -155,6 +168,15 @@ INVOCATIONS = [
     ["invariance-check", "2", "1*c1^65535 + 1*c2"],
     ["invariance-check", "2", "1*c1^65536 + 1*c2"],
     ["invariance-check", "1", "1*c1^18446744073709551617"],
+    # c1-free terms only, not invariant
+    ["invariance-check", "4", "1*c2^2 + 3*c4"],
+    # an invariant weight-2 component (z2) and a non-invariant weight-3 one
+    ["invariance-check", "3", "-3*c1^2 + 9*c2 + 1*c3"],
+    ["invariance-check", "6", _rank_6_weight_20_in_c()],
+    ["invariance-check", "6", _rank_6_weight_20_in_c() + " + 1*c2^10"],
+    # repeated coefficient and variable factors: -6*z2 at rank 2
+    ["invariance-check", "2", "2*3*c1*c1 + -24*c2"],
+    ["invariance-check", "2", "1/2*c1*c1*2 + -4*c2*1 + 0*c1"],
     ["hom-flag", "1", "2", "2"],
     ["hom-flag", "2", "2", "3"],
     ["hom-flag", "3", "4", "6"],

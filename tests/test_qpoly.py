@@ -1,6 +1,7 @@
 """Polynomial core: canonical form, arithmetic, symmetric functions, solver."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from oracles import (
     elementary_symmetric,
     elementary_symmetric_by_steps,
     evaluate_by_terms,
+    parse_poly_by_fractions,
 )
 
 X = Variable("x")
@@ -316,6 +318,88 @@ class TestTextFormat:
     @given(poly_st)
     def test_text_roundtrip(self, p):
         assert parse_poly(p.to_text(), RING) == p
+
+
+def _int_limit_text(digits):
+    return (
+        f"Exceeds the limit ({sys.get_int_max_str_digits()} digits) for integer string"
+        f" conversion: value has {digits} digits; use sys.set_int_max_str_digits()"
+        " to increase the limit"
+    )
+
+
+LONG = "1" * 5000
+
+
+class TestParseErrorTexts:
+    """Every error text of `parse_poly`, byte for byte."""
+
+    @pytest.fixture(autouse=True)
+    def default_int_limit(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty polynomial text"),
+            ("  ", "empty polynomial text"),
+            ("1*x + ", "empty term in '1*x + '"),
+            ("1*x + + y", "empty term in '1*x + + y'"),
+            ("1*x*", "cannot parse factor ''"),
+            ("2*$", "cannot parse factor '$'"),
+            ("1.5*x", "cannot parse factor '1.5'"),
+            ("x^-1", "cannot parse factor 'x^-1'"),
+            ("1*q", "unknown variable 'q'"),
+            ("1/0*x", "cannot parse rational '1/0': Fraction(1, 0)"),
+            ("x^" + "9" * 5000, _int_limit_text(5000)),
+            (LONG + "*x", f"cannot parse rational '{LONG}': {_int_limit_text(5000)}"),
+            (f"-{LONG}", f"cannot parse rational '-{LONG}': {_int_limit_text(5000)}"),
+            (f"1/{LONG}", f"cannot parse rational '1/{LONG}': {_int_limit_text(5000)}"),
+        ],
+        ids=lambda v: v[:24] if isinstance(v, str) else None,
+    )
+    def test_message(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_poly(text, RING)
+        assert str(info.value) == message
+
+
+def _parsed(parse, text):
+    """The width and the typed terms of the parse, or the ValueError text."""
+    try:
+        p = parse(text, RING)
+    except ValueError as exc:
+        return str(exc)
+    return p._width, {key: (type(c), c) for key, c in p.terms.items()}
+
+
+good_factor_st = st.one_of(
+    st.integers(-(10**6), 10**6).map(str),
+    st.tuples(st.integers(-20, 20), st.integers(1, 9)).map("{0[0]}/{0[1]}".format),
+    st.sampled_from(["+3", "007", "-0", "2/4", "5/1", "+1/2"]),
+    st.tuples(st.sampled_from("xyz"), st.integers(0, 600)).map("{0[0]}^{0[1]}".format),
+    st.sampled_from("xyz"),
+    st.sampled_from("xyz"),
+)
+bad_factor_st = st.sampled_from(
+    ["", " ", "1/0", "1.5", "$", "x^-1", "q", "q^2", "x^", LONG, "x^" + "9" * 5000]
+)
+# three good factors to one bad one; odd-length terms get spaces around '*'
+factor_st = st.one_of(good_factor_st, good_factor_st, good_factor_st, bad_factor_st)
+term_st = st.lists(factor_st, min_size=1, max_size=4).map(
+    lambda fs: (" * " if len(fs) % 2 else "*").join(fs)
+)
+poly_text_st = st.lists(term_st, max_size=5).map(" + ".join)
+
+
+class TestParseAgainstFractions:
+    @settings(deadline=None, max_examples=300)
+    @given(poly_text_st)
+    def test_same_polynomial_or_same_error(self, text):
+        assert _parsed(parse_poly, text) == _parsed(parse_poly_by_fractions, text)
 
 
 class TestSymmetricFunctions:
