@@ -11,12 +11,15 @@ sum_i C(n-i, k-i) * c_i * f^(k-i).  The roots n*x_i have classes n^i*c_i,
 and twisting them by f = -c_1 gives the y_i, so every z_k(c) is that sum
 over the integers, written out term by term with no product, and
 z_1 = e_1(y) = 0.  Each rank's `ChernRing` keeps that one map.  Classes
-are plain polynomials over `ChernRing.c_ring` or `ChernRing.z_ring`.  A
-twist-invariant class p equals its value at c_1 = 0, c_k = z_k/n^k: its
-normal form in the z_k, read off the c_1-free terms of p, each divided by
-n^w for its own weight w.  That is exact term by term, since twisting
-keeps every term's weight, so p need not be homogeneous.  p is invariant
-exactly when that normal form, expanded back through z_k(c), returns p.
+are plain polynomials over `ChernRing.c_ring` or `ChernRing.z_ring`.  The
+f-derivative of that map at f = 0 is the derivation D c_k = (n-k+1) c_{k-1}
+with c_0 = 1 (Cayley's Omega), and the twist is exp(f*D), so a class p is
+invariant exactly when D p = 0; on packed keys D is key arithmetic.  An
+invariant p equals its value at c_1 = 0, c_k = z_k/n^k: its normal form in
+the z_k, read off the c_1-free terms of p, each divided by n^w for its own
+weight w.  That is exact term by term, since twisting keeps every term's
+weight, so p need not be homogeneous.  Each normal form is checked at the
+integer roots x_i = i^2.
 Twisting the y_i back by +c_1 gives a_k = P + lambda * c_k in closed form.
 
 The classes of the endomorphism bundle End are twist-invariant too, so
@@ -141,6 +144,13 @@ class ChernRing:
         """The evaluation plan of every z_k(c), for `_a_classes_of`."""
         return _plan([*self._z_in_c.values()])
 
+    @cached_property
+    def _root_values(self) -> tuple[list[int], list[int]]:
+        """c_1..c_n at the roots x_i = i^2 and z_2..z_n at their y_i = n*x_i - sum(x)."""
+        xs = [i * i for i in range(1, self.rank + 1)]
+        ys = [self.rank * x - sum(xs) for x in xs]
+        return elementary_symmetric_all(xs, 1)[1:], elementary_symmetric_all(ys, 1)[2:]
+
 
 @lru_cache(maxsize=None)
 def chern_ring(rank: int) -> ChernRing:
@@ -191,18 +201,62 @@ def z_basis(ring: ChernRing, k: int) -> RationalPoly:
     return ring._z_in_c[ring.z_ring[k - 2]]
 
 
+def _cayley_omega(ring: ChernRing, poly: RationalPoly) -> RationalPoly:
+    """D p for the derivation D c_k = (n-k+1) c_{k-1}, c_0 = 1, whose kernel is
+    the twist-invariant classes.
+
+    A term c * c^e with e_k > 0 goes to the key one lower in the weight
+    field and in field k, and one higher in field k-1 when k > 1, with
+    coefficient c * e_k * (n-k+1).
+    """
+    n, width, unpack = ring.rank, poly._width, poly._unpack()
+    weight = 1 << n * width
+    steps = [weight + (1 << (n - 1) * width)]  # c_1 -> c_0 = 1
+    steps += [weight + (1 << (n - k) * width) - (1 << (n - k + 1) * width) for k in range(2, n + 1)]
+    acc: dict = {}
+    get = acc.get
+    for key, c in poly.terms.items():
+        for k, (step, e) in enumerate(zip(steps, unpack(key)[1:])):
+            if e:
+                new, coef = key - step, c * e * (n - k)
+                old = get(new)
+                acc[new] = coef if old is None else old + coef
+    return RationalPoly._packed(ring.c_ring, width, acc)
+
+
+def _at_roots(poly: RationalPoly, values: Sequence[int]) -> tuple[int, int]:
+    """poly at integer values, one per variable, as (numerator, denominator)."""
+    unpack = poly._unpack()
+    den = math.lcm(*[c.denominator for c in poly.terms.values()])
+    num = 0
+    for key, c in poly.terms.items():
+        term = c.numerator * (den // c.denominator)
+        for v, e in zip(values, unpack(key)[1:]):
+            if e:
+                term *= v**e
+        num += term
+    return num, den
+
+
+def _check_c_ring(ring: ChernRing, poly: RationalPoly) -> None:
+    if poly.ring != ring.c_ring:
+        raise ValueError("polynomial is not over the Chern-class ring")
+
+
 def rewrite_in_z(ring: ChernRing, poly: RationalPoly) -> RationalPoly | None:
     """The class in the canonical z-generators, or None if it is not twist-invariant.
 
-    A twist-invariant class equals its value at c_1 = 0, c_k = z_k/n^k: each
-    c_1-free term of weight w, read as a z-monomial and divided by n^w.
-    Twisting keeps every term's weight, so this normal form is exact term by
-    term and the class need not be homogeneous.  Every polynomial in the z_k
-    is invariant, so the class is invariant exactly when this normal form
-    expanded back through z_k(c) gives the class again.
+    The class is invariant exactly when D p = 0 (`_cayley_omega`).  Then it
+    equals its value at c_1 = 0, c_k = z_k/n^k: each c_1-free term of weight
+    w, read as a z-monomial and divided by n^w.  Twisting keeps every term's
+    weight, so this normal form is exact term by term and the class need not
+    be homogeneous.  The normal form q is checked against the class at the
+    roots x_i = i^2: p(e(x)) = q(e(y)), in integers; a mismatch raises
+    RuntimeError naming n and the class's first term.
     """
-    if poly.ring != ring.c_ring:
-        raise ValueError("polynomial is not over the Chern-class ring")
+    _check_c_ring(ring, poly)
+    if not _cayley_omega(ring, poly).is_zero():
+        return None
     # a c1-free key (w, 0, e_2..e_n) becomes the z-key (w, e_2..e_n)
     n, width = ring.rank, poly._width
     low = (n - 1) * width  # the bits of e_2..e_n
@@ -212,21 +266,29 @@ def rewrite_in_z(ring: ChernRing, poly: RationalPoly) -> RationalPoly | None:
         if not c1:
             terms[weight << low | key & (1 << low) - 1] = Fraction(c, n**weight)
     q = RationalPoly._packed(ring.z_ring, width, terms)
-    if q.substitute(ring._z_in_c, target_ring=ring.c_ring) != poly:
-        return None
+    c_values, z_values = ring._root_values
+    (p_num, p_den), (q_num, q_den) = _at_roots(poly, c_values), _at_roots(q, z_values)
+    if p_num * q_den != q_num * p_den:
+        first = poly._ordered_keys()[0]
+        raise RuntimeError(
+            f"z-rewrite for rank n={n} failed its root check at x_i = i^2:"
+            f" {Fraction(p_num, p_den)} from the class against {Fraction(q_num, q_den)}"
+            f" from its z-form; first term {poly._term_text(first, poly.terms[first])}"
+        )
     return q
 
 
 def is_shift_invariant(ring: ChernRing, poly: RationalPoly) -> bool:
-    """True iff the class is unchanged by twisting with a formal line bundle."""
-    return rewrite_in_z(ring, poly) is not None
+    """True iff the class is unchanged by twisting with a formal line bundle: D p = 0."""
+    _check_c_ring(ring, poly)
+    return _cayley_omega(ring, poly).is_zero()
 
 
 def express_in_z(ring: ChernRing, poly: RationalPoly) -> RationalPoly:
     """Rewrite a shift-invariant class in the canonical z-generators.
 
-    The rewrite is the twist normal form of `rewrite_in_z`, checked by
-    expanding it back; a class that fails that check is not invariant.
+    The rewrite is the checked twist normal form of `rewrite_in_z`; a class
+    with D p != 0 is not invariant.
     """
     out = rewrite_in_z(ring, poly)
     if out is None:

@@ -789,33 +789,60 @@ def parse_poly(text: str, ring: Iterable[Variable]) -> RationalPoly:
     either an integer or p/q coefficient or a variable with an optional
     exponent of decimal digits.  A zero exponent is accepted: `x^0` and
     `x^00` are the factor 1.  A bare variable without a coefficient is
-    accepted.
+    accepted.  An integer factor is read by `int`, a p/q factor by
+    `parse_fraction`, and each term goes straight to its packed key, summed
+    with the equal terms before it; the keys are repacked wider only when a
+    term's weight needs it.
     """
     ring = make_ring(*ring)
-    by_name = {v.name: i for i, v in enumerate(ring)}
+    size = len(ring)
+    slots = {v.name: (size - 1 - i, v.weight) for i, v in enumerate(ring)}
     src = text.strip()
     if not src:
         raise ValueError("empty polynomial text")
-    terms: list[tuple[Exponents, Fraction]] = []
+    width = _NARROWEST
+    terms: dict[int, int | Fraction] = {}
     for chunk in src.split("+"):
         chunk = chunk.strip()
         if not chunk:
             raise ValueError(f"empty term in {text!r}")
-        exps = [0] * len(ring)
-        coef = Fraction(1)
+        coef: int | Fraction = 1
+        weight, powers = 0, []
         for factor in (f.strip() for f in chunk.split("*")):
             if _COEF_RE.fullmatch(factor):
-                coef *= parse_fraction(factor)
+                coef *= _parse_coefficient(factor)
                 continue
             m = _FACTOR_RE.fullmatch(factor)
             if not m:
                 raise ValueError(f"cannot parse factor {factor!r}")
             name, exp = m.group(1), int(m.group(2) or 1)
-            if name not in by_name:
+            if name not in slots:
                 raise ValueError(f"unknown variable {name!r}")
-            exps[by_name[name]] += exp
-        terms.append((tuple(exps), coef))
-    return RationalPoly(ring, terms)
+            field, w = slots[name]
+            weight += w * exp
+            powers.append((field, exp))
+        if weight >> width:
+            unpack, width = _unpacker(size, width), _rung(weight)
+            terms = {_pack(unpack(key), width): c for key, c in terms.items()}
+        key = weight << size * width
+        for field, exp in powers:
+            key += exp << field * width
+        terms[key] = terms.get(key, 0) + coef
+    return RationalPoly._packed(ring, width, {k: _integral(c) for k, c in terms.items()})
+
+
+def _parse_coefficient(text: str) -> int | Fraction:
+    """An integer factor by `int`, a p/q one by `parse_fraction`.
+
+    An integer that `int` refuses (past the digit limit) goes to
+    `parse_fraction` too, which words the error.
+    """
+    if "/" not in text:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    return parse_fraction(text)
 
 
 def first_difference(p: RationalPoly, q: RationalPoly) -> str:

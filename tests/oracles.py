@@ -1,7 +1,9 @@
 """Reference implementations that the tests check the library against.
 
 Each oracle takes the long way round where the library uses a closed
-form: the root ring x_1..x_n in place of the twist identity, e_k written
+form: the root ring x_1..x_n in place of the twist identity, a normal
+form expanded back through every z_k(c) in place of the derivation that
+decides twist invariance, e_k written
 out over every k-subset in place of the one-pass recurrence of
 `elementary_symmetric_all`, a general span search over products of End
 classes in place of the parity argument behind `surjectivity_witness`,
@@ -95,6 +97,25 @@ def expand_to_roots(ring, poly):
     es = _root_esp(ring.rank)
     bindings = {v: es[i + 1] for i, v in enumerate(ring.c_ring)}
     return poly.substitute(bindings, target_ring=root_ring(ring))
+
+
+def rewrite_by_back_expansion(ring, poly):
+    """The z-normal form of a class, or None when it is not twist-invariant.
+
+    The normal form is read off the c_1-free terms, each divided by n^w for
+    its weight w.  Every polynomial in the z_k is invariant, so the class is
+    invariant exactly when that normal form, substituted through every
+    z_k(c), gives the class again.
+    """
+    terms = {}
+    for exps, coef in poly.exponent_items():
+        if not exps[0]:
+            weight = sum(k * e for k, e in enumerate(exps, start=1))
+            terms[exps[1:]] = Fraction(coef, ring.rank**weight)
+    q = RationalPoly(ring.z_ring, terms)
+    if q.substitute(ring._z_in_c, target_ring=ring.c_ring) != poly:
+        return None
+    return q
 
 
 def evaluate_by_terms(poly, values, zero=Fraction(0)):

@@ -1,5 +1,6 @@
 """Canonical classes of projectivized bundles: z-generators, reduction, End classes."""
 
+import functools
 import math
 import random
 from collections import Counter
@@ -7,6 +8,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projchar import projclass, qpoly
 from projchar.projclass import (
@@ -28,6 +31,7 @@ from projchar.qpoly import (
     RationalPoly,
     Variable,
     format_fraction,
+    SparseTerms,
     make_ring,
     parse_poly,
 )
@@ -47,6 +51,7 @@ from oracles import (
     elementary_symmetric,
     embedded,
     expand_to_roots,
+    rewrite_by_back_expansion,
     root_vars,
     span_witness,
     y_roots,
@@ -116,6 +121,36 @@ def shift_oracle(ring, poly):
     dp = RationalPoly.gen(big, d)
     bindings = {v: RationalPoly.gen(big, v) + dp for v in root_vars(ring)}
     return roots.substitute(bindings, target_ring=big) == embedded(roots, big)
+
+
+def z_monomials(rank, weight):
+    """The exponent vectors (e_2..e_rank) of the z-monomials of this weight."""
+    if rank < 2:
+        return [()] if weight == 0 else []
+    return [
+        head + (e,)
+        for e in range(weight // rank + 1)
+        for head in z_monomials(rank - 1, weight - e * rank)
+    ]
+
+
+@st.composite
+def invariance_cases(draw):
+    """(ring, class, perturbed): z-combinations of one to three weights at rank
+    2..6, with a nonconstant c-monomial added when perturbed."""
+    ring = chern_ring(draw(st.integers(2, 6)))
+    coef_st = st.fractions(min_value=-9, max_value=9, max_denominator=3).filter(bool)
+    poly = RationalPoly.zero(ring.c_ring)
+    for weight in draw(st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True)):
+        monos = z_monomials(ring.rank, weight)
+        for exps in draw(st.lists(st.sampled_from(monos), max_size=3, unique=True)) if monos else []:
+            poly = poly + draw(coef_st) * z_monomial_c_poly(ring, exps)
+    perturbed = draw(st.booleans())
+    if perturbed:
+        parts = draw(st.lists(st.integers(1, ring.rank), min_size=1, max_size=4))
+        exps = [parts.count(k) for k in range(1, ring.rank + 1)]
+        poly = poly + RationalPoly(ring.c_ring, {tuple(exps): draw(coef_st)})
+    return ring, poly, perturbed
 
 
 def seeded_invariant(rng, ring, weight):
@@ -334,23 +369,77 @@ class TestShiftInvariance:
         assert rewrite_in_z(ring, 5 + z2 + c1) is None
         assert not is_shift_invariant(ring, z3 + c1 * z2)
 
-    def test_rewrite_substitutes_once(self, monkeypatch):
+    def test_rewrite_and_invariance_make_no_substitute_or_product(self, monkeypatch):
+        counts = Counter()
+
+        def counted(name, original):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            return call
+
+        cases = []
+        for n in range(3, 7):
+            ring = chern_ring(n)
+            c1 = RationalPoly.gen(ring.c_ring, ring.c_ring[0])
+            z2, zn = z_basis(ring, 2), z_basis(ring, n)
+            cases += [(ring, z2 * zn - 3 * zn), (ring, zn + c1**n), (ring, z2 + 5)]
+        monkeypatch.setattr(RationalPoly, "substitute", counted("substitute", RationalPoly.substitute))
+        monkeypatch.setattr(SparseTerms, "_mul", counted("_mul", SparseTerms._mul))
+        for ring, poly in cases:
+            rewrite_in_z(ring, poly)
+            is_shift_invariant(ring, poly)
+        assert counts == Counter()
+
+    @settings(deadline=None, max_examples=80)
+    @given(invariance_cases())
+    def test_rewrite_agrees_with_back_expansion(self, case):
+        ring, poly, perturbed = case
+        want = rewrite_by_back_expansion(ring, poly)
+        assert (want is None) is perturbed
+        assert rewrite_in_z(ring, poly) == want
+        assert is_shift_invariant(ring, poly) is (want is not None)
+
+    def test_cayley_omega_kills_every_generator(self):
+        for n in range(2, 9):
+            ring = chern_ring(n)
+            for k in range(2, n + 1):
+                assert projclass._cayley_omega(ring, z_basis(ring, k)).is_zero()
+
+    def test_cayley_omega_lowers_each_chern_class(self):
+        for n in range(1, 9):
+            ring = chern_ring(n)
+            cs = [RationalPoly.const(ring.c_ring, 1)]
+            cs += [RationalPoly.gen(ring.c_ring, v) for v in ring.c_ring]
+            for k in range(1, n + 1):
+                assert projclass._cayley_omega(ring, cs[k]) == (n - k + 1) * cs[k - 1]
+            # a 16-bit key: D c_1^300 = 300 * n * c_1^299
+            assert projclass._cayley_omega(ring, cs[1] ** 300) == 300 * n * cs[1] ** 299
+
+    def test_cayley_omega_is_a_derivation(self):
+        rng = random.Random(5)
+        for n in (2, 4, 6):
+            ring = chern_ring(n)
+            p, q = random_c_poly(rng, ring, 3), random_c_poly(rng, ring, n)
+            d = functools.partial(projclass._cayley_omega, ring)
+            assert d(p * q) == d(p) * q + p * d(q)
+
+    def test_corrupt_root_values_fail_loudly(self, monkeypatch):
+        ring = chern_ring(3)
+        c_values, z_values = ring._root_values
+        monkeypatch.setitem(ring.__dict__, "_root_values", (c_values, [z_values[0] + 1, z_values[1]]))
+        message = r"^z-rewrite for rank n=3 failed its root check at x_i = i\^2: .* first term -3\*c1\^2$"
+        with pytest.raises(RuntimeError, match=message):
+            rewrite_in_z(ring, z_basis(ring, 2))
+
+    def test_wrong_derivation_fails_loudly(self, monkeypatch):
         ring = chern_ring(4)
         c1 = RationalPoly.gen(ring.c_ring, ring.c_ring[0])
-        z2, z4 = z_basis(ring, 2), z_basis(ring, 4)
-        original = RationalPoly.substitute
-        calls = []
-
-        def counted(self, *args, **kwargs):
-            calls.append(self.ring)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(RationalPoly, "substitute", counted)
-        for poly, invariant in ((z2**2 - 3 * z4, True), (z4 + c1**4, False)):
-            calls.clear()
-            out = rewrite_in_z(ring, poly)
-            assert (out is not None) is invariant
-            assert calls == [ring.z_ring]
+        monkeypatch.setattr(projclass, "_cayley_omega", lambda ring, poly: RationalPoly.zero(ring.c_ring))
+        message = r"^z-rewrite for rank n=4 failed .* first term -1\*c1\^4$"
+        with pytest.raises(RuntimeError, match=message):
+            rewrite_in_z(ring, z_basis(ring, 4) + 2 * c1**4)
 
     def test_expand_to_roots_matches_elementary(self):
         ring = chern_ring(3)
