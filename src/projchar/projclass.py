@@ -212,7 +212,8 @@ def _cayley_omega(ring: ChernRing, poly: RationalPoly) -> RationalPoly:
     n, width, unpack = ring.rank, poly._width, poly._unpack()
     weight = 1 << n * width
     steps = [weight + (1 << (n - 1) * width)]  # c_1 -> c_0 = 1
-    steps += [weight + (1 << (n - k) * width) - (1 << (n - k + 1) * width) for k in range(2, n + 1)]
+    for k in range(2, n + 1):  # c_k -> c_{k-1}
+        steps.append(weight + (1 << (n - k) * width) - (1 << (n - k + 1) * width))
     acc: dict = {}
     get = acc.get
     for key, c in poly.terms.items():

@@ -810,7 +810,10 @@ def parse_poly(text: str, ring: Iterable[Variable]) -> RationalPoly:
         weight, powers = 0, []
         for factor in (f.strip() for f in chunk.split("*")):
             if _COEF_RE.fullmatch(factor):
-                coef *= _parse_coefficient(factor)
+                try:
+                    coef *= int(factor)
+                except ValueError:  # p/q, or digits past int's limit
+                    coef *= parse_fraction(factor)  # which words the error
                 continue
             m = _FACTOR_RE.fullmatch(factor)
             if not m:
@@ -829,20 +832,6 @@ def parse_poly(text: str, ring: Iterable[Variable]) -> RationalPoly:
             key += exp << field * width
         terms[key] = terms.get(key, 0) + coef
     return RationalPoly._packed(ring, width, {k: _integral(c) for k, c in terms.items()})
-
-
-def _parse_coefficient(text: str) -> int | Fraction:
-    """An integer factor by `int`, a p/q one by `parse_fraction`.
-
-    An integer that `int` refuses (past the digit limit) goes to
-    `parse_fraction` too, which words the error.
-    """
-    if "/" not in text:
-        try:
-            return int(text)
-        except ValueError:
-            pass
-    return parse_fraction(text)
 
 
 def first_difference(p: RationalPoly, q: RationalPoly) -> str:

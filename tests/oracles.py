@@ -16,9 +16,10 @@ and a Kunneth product written out part by part, over ParamElements, in
 place of the flat (surface key, monomial) terms of `KunnethClass` and
 their product memo, and a parser that reads every coefficient as a
 `Fraction` and hands exponent vectors to the checked constructor in place
-of the integer coefficients and packed keys of `parse_poly`.  Newstead's closed form for the Betti numbers of the
-rank-2 moduli space is an outside bound on the generator catalog.  None
-of this is on a library path.
+of the integer coefficients and packed keys of `parse_poly`.  Newstead's
+closed form for the Betti numbers of the rank-2 moduli space is an
+outside bound on the generator catalog.  None of this is on a library
+path.
 """
 
 from __future__ import annotations

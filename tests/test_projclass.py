@@ -1,11 +1,10 @@
 """Canonical classes of projectivized bundles: z-generators, reduction, End classes."""
 
-import functools
 import math
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import given, settings
@@ -29,9 +28,9 @@ from projchar.projclass import (
 )
 from projchar.qpoly import (
     RationalPoly,
+    SparseTerms,
     Variable,
     format_fraction,
-    SparseTerms,
     make_ring,
     parse_poly,
 )
@@ -143,7 +142,9 @@ def invariance_cases(draw):
     poly = RationalPoly.zero(ring.c_ring)
     for weight in draw(st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True)):
         monos = z_monomials(ring.rank, weight)
-        for exps in draw(st.lists(st.sampled_from(monos), max_size=3, unique=True)) if monos else []:
+        if not monos:
+            continue
+        for exps in draw(st.lists(st.sampled_from(monos), max_size=3, unique=True)):
             poly = poly + draw(coef_st) * z_monomial_c_poly(ring, exps)
     perturbed = draw(st.booleans())
     if perturbed:
@@ -385,7 +386,8 @@ class TestShiftInvariance:
             c1 = RationalPoly.gen(ring.c_ring, ring.c_ring[0])
             z2, zn = z_basis(ring, 2), z_basis(ring, n)
             cases += [(ring, z2 * zn - 3 * zn), (ring, zn + c1**n), (ring, z2 + 5)]
-        monkeypatch.setattr(RationalPoly, "substitute", counted("substitute", RationalPoly.substitute))
+        substitute = counted("substitute", RationalPoly.substitute)
+        monkeypatch.setattr(RationalPoly, "substitute", substitute)
         monkeypatch.setattr(SparseTerms, "_mul", counted("_mul", SparseTerms._mul))
         for ring, poly in cases:
             rewrite_in_z(ring, poly)
@@ -422,21 +424,26 @@ class TestShiftInvariance:
         for n in (2, 4, 6):
             ring = chern_ring(n)
             p, q = random_c_poly(rng, ring, 3), random_c_poly(rng, ring, n)
-            d = functools.partial(projclass._cayley_omega, ring)
+            d = partial(projclass._cayley_omega, ring)
             assert d(p * q) == d(p) * q + p * d(q)
 
     def test_corrupt_root_values_fail_loudly(self, monkeypatch):
         ring = chern_ring(3)
         c_values, z_values = ring._root_values
-        monkeypatch.setitem(ring.__dict__, "_root_values", (c_values, [z_values[0] + 1, z_values[1]]))
-        message = r"^z-rewrite for rank n=3 failed its root check at x_i = i\^2: .* first term -3\*c1\^2$"
+        corrupt = (c_values, [z_values[0] + 1, *z_values[1:]])
+        monkeypatch.setitem(ring.__dict__, "_root_values", corrupt)
+        message = (
+            r"^z-rewrite for rank n=3 failed its root check at x_i = i\^2:"
+            r" .* first term -3\*c1\^2$"
+        )
         with pytest.raises(RuntimeError, match=message):
             rewrite_in_z(ring, z_basis(ring, 2))
 
     def test_wrong_derivation_fails_loudly(self, monkeypatch):
         ring = chern_ring(4)
         c1 = RationalPoly.gen(ring.c_ring, ring.c_ring[0])
-        monkeypatch.setattr(projclass, "_cayley_omega", lambda ring, poly: RationalPoly.zero(ring.c_ring))
+        # a D that kills everything lets the non-invariant class through to the check
+        monkeypatch.setattr(projclass, "_cayley_omega", lambda r, p: RationalPoly.zero(r.c_ring))
         message = r"^z-rewrite for rank n=4 failed .* first term -1\*c1\^4$"
         with pytest.raises(RuntimeError, match=message):
             rewrite_in_z(ring, z_basis(ring, 4) + 2 * c1**4)
