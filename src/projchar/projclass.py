@@ -203,12 +203,14 @@ def z_basis(ring: ChernRing, k: int) -> RationalPoly:
 
 def _cayley_omega(ring: ChernRing, poly: RationalPoly) -> RationalPoly:
     """D p for the derivation D c_k = (n-k+1) c_{k-1}, c_0 = 1, whose kernel is
-    the twist-invariant classes.
+    the twist-invariant classes; p must be over `ring.c_ring`.
 
-    A term c * c^e with e_k > 0 goes to the key one lower in the weight
-    field and in field k, and one higher in field k-1 when k > 1, with
-    coefficient c * e_k * (n-k+1).
+    A term with coefficient a and exponent e_k > 0 of c_k goes to the key
+    one lower in the weight field and in field k, and one higher in field
+    k-1 when k > 1, with coefficient a * e_k * (n-k+1).
     """
+    if poly.ring != ring.c_ring:
+        raise ValueError("polynomial is not over the Chern-class ring")
     n, width, unpack = ring.rank, poly._width, poly._unpack()
     weight = 1 << n * width
     steps = [weight + (1 << (n - 1) * width)]  # c_1 -> c_0 = 1
@@ -239,11 +241,6 @@ def _at_roots(poly: RationalPoly, values: Sequence[int]) -> tuple[int, int]:
     return num, den
 
 
-def _check_c_ring(ring: ChernRing, poly: RationalPoly) -> None:
-    if poly.ring != ring.c_ring:
-        raise ValueError("polynomial is not over the Chern-class ring")
-
-
 def rewrite_in_z(ring: ChernRing, poly: RationalPoly) -> RationalPoly | None:
     """The class in the canonical z-generators, or None if it is not twist-invariant.
 
@@ -255,7 +252,6 @@ def rewrite_in_z(ring: ChernRing, poly: RationalPoly) -> RationalPoly | None:
     roots x_i = i^2: p(e(x)) = q(e(y)), in integers; a mismatch raises
     RuntimeError naming n and the class's first term.
     """
-    _check_c_ring(ring, poly)
     if not _cayley_omega(ring, poly).is_zero():
         return None
     # a c1-free key (w, 0, e_2..e_n) becomes the z-key (w, e_2..e_n)
@@ -281,7 +277,6 @@ def rewrite_in_z(ring: ChernRing, poly: RationalPoly) -> RationalPoly | None:
 
 def is_shift_invariant(ring: ChernRing, poly: RationalPoly) -> bool:
     """True iff the class is unchanged by twisting with a formal line bundle: D p = 0."""
-    _check_c_ring(ring, poly)
     return _cayley_omega(ring, poly).is_zero()
 
 
