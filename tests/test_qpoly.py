@@ -321,10 +321,10 @@ class TestTextFormat:
 
 
 def _int_limit_text(digits):
+    """int's refusal under the default limit of 4300 digits."""
     return (
-        f"Exceeds the limit ({sys.get_int_max_str_digits()} digits) for integer string"
-        f" conversion: value has {digits} digits; use sys.set_int_max_str_digits()"
-        " to increase the limit"
+        f"Exceeds the limit (4300 digits) for integer string conversion: value has"
+        f" {digits} digits; use sys.set_int_max_str_digits() to increase the limit"
     )
 
 
