@@ -218,6 +218,22 @@ INVOCATIONS = [
     ["universal-bundle", "malformed.txt"],
     ["universal-bundle", "missing.txt"],
     ["selftest"],
+    # usage errors (exit 2) and alternate spellings that argparse reads
+    [],
+    ["no-such-command"],
+    ["zbasis", "2"],
+    ["zbasis", "x", "2"],
+    ["zbasis", "2", "2", "3"],
+    ["zbasis", " 3", "0_3"],
+    ["zbasis", "--js", "2", "2"],
+    ["selftest", "extra"],
+    ["invariance-check", "2", "-1*c2"],
+    ["invariance-check", "2", "--json", "--", "-1*c2"],
+    ["canonicality", "2", "1", "--count=3"],
+    ["canonicality", "2", "1", "--seed"],
+    ["universal-bundle", "newstead.txt", "--condition", "C9"],
+    ["universal-bundle", "parabolic.txt", "--witness", "--json"],
+    ["aclass", "2", "--set=c1=0"],
 ]
 
 
