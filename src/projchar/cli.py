@@ -9,17 +9,20 @@ strings, never floats.  Exit codes: 0 success, 1 domain error, 2 usage error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 from functools import lru_cache
 from pathlib import Path
 from random import Random
-from typing import Any, NamedTuple, Optional
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, NamedTuple, Optional
 
 from . import projclass, univdet
 from .qpoly import RationalPoly, Variable, format_fraction, parse_poly
+
+if TYPE_CHECKING:
+    import argparse
 
 _CVAR_RE = re.compile(r"c([1-9]\d*)")
 
@@ -35,7 +38,7 @@ class CommandOutput(NamedTuple):
 _NOT_INPUTS = ("subcommand", "json", "handler")
 
 
-def _emit(out: CommandOutput, args: argparse.Namespace) -> None:
+def _emit(out: CommandOutput, args: SimpleNamespace) -> None:
     if args.json:
         doc = {
             "subcommand": args.subcommand,
@@ -57,7 +60,7 @@ def _read_document(path: str) -> str:
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _cmd_zbasis(args: argparse.Namespace) -> CommandOutput:
+def _cmd_zbasis(args: SimpleNamespace) -> CommandOutput:
     ring = projclass.chern_ring(args.n)
     text = projclass.z_basis(ring, args.k).to_text()
     return CommandOutput(
@@ -70,7 +73,7 @@ def _cmd_zbasis(args: argparse.Namespace) -> CommandOutput:
     )
 
 
-def _cmd_lambda_p(args: argparse.Namespace) -> CommandOutput:
+def _cmd_lambda_p(args: SimpleNamespace) -> CommandOutput:
     data = projclass.lambda_p(args.n, args.k)
     lam = format_fraction(data.lam)
     p_text = data.P.to_text()
@@ -111,7 +114,7 @@ def _parse_assignments(
     return values, echo
 
 
-def _cmd_aclass(args: argparse.Namespace) -> CommandOutput:
+def _cmd_aclass(args: SimpleNamespace) -> CommandOutput:
     ring = projclass.chern_ring(args.n)
     values, echo = _parse_assignments(args.n, ring, args.assignments)
     results = projclass.a_classes(args.n, values, zero=RationalPoly.zero(ring.c_ring))
@@ -124,7 +127,7 @@ def _cmd_aclass(args: argparse.Namespace) -> CommandOutput:
     )
 
 
-def _cmd_end_chern(args: argparse.Namespace) -> CommandOutput:
+def _cmd_end_chern(args: SimpleNamespace) -> CommandOutput:
     text = projclass.end_chern(args.n, args.j).to_text()
     return CommandOutput(
         text,
@@ -137,7 +140,7 @@ def _cmd_end_chern(args: argparse.Namespace) -> CommandOutput:
     )
 
 
-def _cmd_end_in_a(args: argparse.Namespace) -> CommandOutput:
+def _cmd_end_in_a(args: SimpleNamespace) -> CommandOutput:
     text = projclass.end_in_a(args.n, args.j).to_text()
     return CommandOutput(
         text,
@@ -146,7 +149,7 @@ def _cmd_end_in_a(args: argparse.Namespace) -> CommandOutput:
     )
 
 
-def _cmd_invariance_check(args: argparse.Namespace) -> CommandOutput:
+def _cmd_invariance_check(args: SimpleNamespace) -> CommandOutput:
     ring = projclass.chern_ring(args.n)
     poly = parse_poly(args.polynomial, ring.c_ring)
     audit = []
@@ -172,7 +175,7 @@ def _cmd_invariance_check(args: argparse.Namespace) -> CommandOutput:
     )
 
 
-def _cmd_hom_flag(args: argparse.Namespace) -> CommandOutput:
+def _cmd_hom_flag(args: SimpleNamespace) -> CommandOutput:
     for name in ("sub_rank", "target_rank"):
         if getattr(args, name) < 1:
             raise ValueError(f"{name} must be positive, got {getattr(args, name)}")
@@ -192,7 +195,7 @@ def _cmd_hom_flag(args: argparse.Namespace) -> CommandOutput:
     )
 
 
-def _cmd_catalog(args: argparse.Namespace) -> CommandOutput:
+def _cmd_catalog(args: SimpleNamespace) -> CommandOutput:
     params = univdet.parse_moduli_params(_read_document(args.params))
     entries = projclass.generator_catalog(
         params.n, params.g, params.datum, args.fixed_det
@@ -217,7 +220,7 @@ def _cmd_catalog(args: argparse.Namespace) -> CommandOutput:
 _CANON_GENERATORS = (("v1", 1), ("v2", 1), ("u1", 2), ("u2", 2))
 
 
-def _cmd_canonicality(args: argparse.Namespace) -> CommandOutput:
+def _cmd_canonicality(args: SimpleNamespace) -> CommandOutput:
     from . import surfalg  # imported here: every other command would pay for it
 
     if args.count < 1:
@@ -265,7 +268,7 @@ def _cmd_canonicality(args: argparse.Namespace) -> CommandOutput:
     )
 
 
-def _cmd_universal_bundle(args: argparse.Namespace) -> CommandOutput:
+def _cmd_universal_bundle(args: SimpleNamespace) -> CommandOutput:
     params = univdet.parse_moduli_params(_read_document(args.params))
     report = univdet.check_conditions(params)
     satisfied = list(report.satisfied)
@@ -310,7 +313,7 @@ def _cmd_universal_bundle(args: argparse.Namespace) -> CommandOutput:
     )
 
 
-def _cmd_selftest(args: argparse.Namespace) -> CommandOutput:
+def _cmd_selftest(args: SimpleNamespace) -> CommandOutput:
     from . import selftest  # imported here: every other command would pay for it
 
     results = selftest.run()
@@ -337,13 +340,195 @@ def _cmd_selftest(args: argparse.Namespace) -> CommandOutput:
     )
 
 
-# -- parser ------------------------------------------------------------------
+# -- subcommand table ----------------------------------------------------------
+
+# One source for argparse and for the direct reader.  An argument is
+# add_argument's (name, keywords): a positional is named by its dest, an option
+# by its flag; "action" is absent (one value), "store_true" or "append", and
+# "type" is int or absent (str).  Every subcommand takes --json first.
+_JSON = ("--json", {"action": "store_true", "help": "emit the JSON document"})
+_RANK = ("n", {"type": int, "help": "bundle rank"})
+_END_INDEX = ("j", {"type": int, "help": "class index, 1 <= j <= n^2"})
+_DOCUMENT = ("params", {"help": "ModuliParams document path, or - for stdin"})
+
+# name -> (handler, help, arguments in declaration order), in help order
+_COMMANDS = {
+    "zbasis": (
+        _cmd_zbasis,
+        "canonical generator z_k in Chern classes",
+        (_RANK, ("k", {"type": int, "help": "generator index, 2 <= k <= n"})),
+    ),
+    "lambda-p": (
+        _cmd_lambda_p,
+        "reduction identity a_k = P + lambda*c_k",
+        (_RANK, ("k", {"type": int, "help": "class index, 2 <= k <= n"})),
+    ),
+    "aclass": (
+        _cmd_aclass,
+        "evaluate a_2..a_n at Chern values",
+        (
+            _RANK,
+            (
+                "--set",
+                {
+                    "action": "append",
+                    "dest": "assignments",
+                    "default": [],
+                    "metavar": "ci=POLY",
+                    "help": "assign a polynomial in c1..cn to one Chern class"
+                    " (repeatable)",
+                },
+            ),
+        ),
+    ),
+    "end-chern": (
+        _cmd_end_chern,
+        "Chern class c_j of the endomorphism bundle",
+        (_RANK, _END_INDEX),
+    ),
+    "end-in-a": (
+        _cmd_end_in_a,
+        "endomorphism class in the z-generators",
+        (_RANK, _END_INDEX),
+    ),
+    "invariance-check": (
+        _cmd_invariance_check,
+        "test a Chern-class polynomial for twist invariance",
+        (
+            _RANK,
+            ("polynomial", {"help": "polynomial in c1..cn, e.g. '-1*c1^2 + 4*c2'"}),
+        ),
+    ),
+    "hom-flag": (
+        _cmd_hom_flag,
+        "Chern class of a Hom bundle between flags",
+        (
+            ("sub_rank", {"type": int, "help": "rank of the subbundle"}),
+            ("target_rank", {"type": int, "help": "rank of the target bundle"}),
+            ("j", {"type": int, "help": "class index"}),
+        ),
+    ),
+    "catalog": (
+        _cmd_catalog,
+        "generator catalog for a parameter document",
+        (
+            _DOCUMENT,
+            (
+                "--fixed-det",
+                {
+                    "action": "store_true",
+                    "help": "fixed determinant: drop the degree-1 slants of c1",
+                },
+            ),
+        ),
+    ),
+    "canonicality": (
+        _cmd_canonicality,
+        "randomized twist-invariance check",
+        (
+            ("rank", {"type": int, "help": "bundle rank"}),
+            ("genus", {"type": int, "help": "surface genus"}),
+            ("--seed", {"type": int, "default": 0, "help": "random seed (default 0)"}),
+            ("--count", {"type": int, "default": 10, "help": "instances (default 10)"}),
+        ),
+    ),
+    "universal-bundle": (
+        _cmd_universal_bundle,
+        "decide coprimality conditions and build a weight-1 word",
+        (
+            _DOCUMENT,
+            (
+                "--condition",
+                {
+                    "choices": univdet.CONDITIONS,
+                    "help": "which condition to use (default: first satisfied)",
+                },
+            ),
+            (
+                "--witness",
+                {"metavar": "LABEL,J", "help": "marked point and flag index for C2/C3"},
+            ),
+        ),
+    ),
+    "selftest": (_cmd_selftest, "run the deterministic invariant suites", ()),
+}
 
 
-# built once per process: parse_args leaves the parser unchanged, and
-# in-process callers would otherwise pay for every add_argument on each call
+def _is_value(token: str) -> bool:
+    """True when argparse reads token as a value, never as an option string."""
+    if token[:1] != "-" or token == "-":
+        return True
+    return " " in token and "=" not in token and not token.startswith("-h")
+
+
+def _read_canonical(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse would build from a canonical argv, else None.
+
+    An argv is canonical when its first token names a subcommand exactly and
+    every other token is an option string of that subcommand, exactly, or a
+    value as `_is_value` reads it; the positional count must be exact, every
+    int must convert and every choice must be allowed.  The namespace holds
+    argparse's attributes in argparse's order: subcommand, the subcommand's
+    arguments in declaration order, handler.  Everything else (help, usage
+    errors, option prefixes, --opt=value, '--', negative numbers) is left to
+    argparse, the only source of help and usage text.
+    """
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    handler, _, arguments = entry
+    values: dict[str, Any] = {"subcommand": argv[0]}
+    options, pending = {}, []
+    for name, keywords in (_JSON, *arguments):
+        if name[0] != "-":
+            pending.append((name, keywords))
+            values[name] = None
+            continue
+        dest = keywords.get("dest", name[2:].replace("-", "_"))
+        options[name] = (dest, keywords)
+        action = keywords.get("action")
+        if action == "store_true":
+            values[dest] = False
+        else:
+            default = keywords.get("default")
+            values[dest] = list(default) if action == "append" else default
+    pending.reverse()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in options:
+            dest, keywords = options[token]
+            if keywords.get("action") == "store_true":
+                values[dest] = True
+                continue
+            token = next(tokens, "--")  # "--" is never a value
+        elif pending:
+            dest, keywords = pending.pop()
+        else:
+            return None
+        if not _is_value(token):
+            return None
+        try:
+            value = keywords.get("type", str)(token)
+        except ValueError:
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        if keywords.get("action") == "append":
+            values[dest].append(value)
+        else:
+            values[dest] = value
+    if pending:
+        return None
+    values["handler"] = handler
+    return SimpleNamespace(**values)
+
+
+# built on first need and kept: only argv that _read_canonical leaves to
+# argparse reach it, and parse_args leaves the parser unchanged
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse  # here, not at the top: a canonical argv never loads it
+
     parser = argparse.ArgumentParser(
         prog="projchar",
         description="Exact characteristic-class calculator for projectivized"
@@ -351,96 +536,24 @@ def _build_parser() -> argparse.ArgumentParser:
         " classes, twist canonicality and universal-bundle weights.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name: str, handler, help_text: str) -> argparse.ArgumentParser:
+    for name, (handler, help_text, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--json", action="store_true", help="emit the JSON document")
+        for flag, keywords in (_JSON, *arguments):
+            p.add_argument(flag, **keywords)
         p.set_defaults(handler=handler)
-        return p
-
-    p = add("zbasis", _cmd_zbasis, "canonical generator z_k in Chern classes")
-    p.add_argument("n", type=int, help="bundle rank")
-    p.add_argument("k", type=int, help="generator index, 2 <= k <= n")
-
-    p = add("lambda-p", _cmd_lambda_p, "reduction identity a_k = P + lambda*c_k")
-    p.add_argument("n", type=int, help="bundle rank")
-    p.add_argument("k", type=int, help="class index, 2 <= k <= n")
-
-    p = add("aclass", _cmd_aclass, "evaluate a_2..a_n at Chern values")
-    p.add_argument("n", type=int, help="bundle rank")
-    p.add_argument(
-        "--set",
-        action="append",
-        dest="assignments",
-        default=[],
-        metavar="ci=POLY",
-        help="assign a polynomial in c1..cn to one Chern class (repeatable)",
-    )
-
-    p = add("end-chern", _cmd_end_chern, "Chern class c_j of the endomorphism bundle")
-    p.add_argument("n", type=int, help="bundle rank")
-    p.add_argument("j", type=int, help="class index, 1 <= j <= n^2")
-
-    p = add("end-in-a", _cmd_end_in_a, "endomorphism class in the z-generators")
-    p.add_argument("n", type=int, help="bundle rank")
-    p.add_argument("j", type=int, help="class index, 1 <= j <= n^2")
-
-    p = add(
-        "invariance-check",
-        _cmd_invariance_check,
-        "test a Chern-class polynomial for twist invariance",
-    )
-    p.add_argument("n", type=int, help="bundle rank")
-    p.add_argument("polynomial", help="polynomial in c1..cn, e.g. '-1*c1^2 + 4*c2'")
-
-    p = add("hom-flag", _cmd_hom_flag, "Chern class of a Hom bundle between flags")
-    p.add_argument("sub_rank", type=int, help="rank of the subbundle")
-    p.add_argument("target_rank", type=int, help="rank of the target bundle")
-    p.add_argument("j", type=int, help="class index")
-
-    p = add("catalog", _cmd_catalog, "generator catalog for a parameter document")
-    p.add_argument("params", help="ModuliParams document path, or - for stdin")
-    p.add_argument(
-        "--fixed-det",
-        action="store_true",
-        help="fixed determinant: drop the degree-1 slants of c1",
-    )
-
-    p = add("canonicality", _cmd_canonicality, "randomized twist-invariance check")
-    p.add_argument("rank", type=int, help="bundle rank")
-    p.add_argument("genus", type=int, help="surface genus")
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    p.add_argument("--count", type=int, default=10, help="instances (default 10)")
-
-    p = add(
-        "universal-bundle",
-        _cmd_universal_bundle,
-        "decide coprimality conditions and build a weight-1 word",
-    )
-    p.add_argument("params", help="ModuliParams document path, or - for stdin")
-    p.add_argument(
-        "--condition",
-        choices=univdet.CONDITIONS,
-        help="which condition to use (default: first satisfied)",
-    )
-    p.add_argument(
-        "--witness",
-        metavar="LABEL,J",
-        help="marked point and flag index for C2/C3",
-    )
-
-    add("selftest", _cmd_selftest, "run the deterministic invariant suites")
-
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_canonical(argv)
+    if args is None:
+        try:
+            args = SimpleNamespace(**vars(_build_parser().parse_args(argv)))
+        except SystemExit as exc:
+            code = exc.code
+            return code if isinstance(code, int) else 2
     try:
         out = args.handler(args)
         _emit(out, args)

@@ -1,15 +1,23 @@
 """Command-line behavior: golden outputs, JSON schema, exit codes, determinism."""
 
+import contextlib
+import importlib.util
+import io
 import json
+import sys
 import time
 from pathlib import Path
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projchar import projclass
-from projchar.cli import _build_parser, main
+from projchar.cli import _COMMANDS, _JSON, _build_parser, _read_canonical, main
 
 GOLDEN = Path(__file__).parent / "golden"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 NEWSTEAD_DOC = "n = 2\nd = 1\ng = 2\n"
 PARABOLIC_DOC = (
@@ -476,3 +484,144 @@ class TestSelftest:
         assert lines[-1] == "all suites passed"
         assert any(line.startswith("qpoly:") for line in lines)
         assert all(", 0 failed" in line for line in lines[:-1])
+
+
+# argv tokens: every option string, the spellings argparse reads in its own
+# way ('-', '--', prefixes, --opt=value, negative numbers, -h), values that
+# convert and values that do not, and classes led by '-' with and without
+# spaces (argparse reads one with a space as a value unless it has '=' or
+# starts with -h)
+VALUES = [
+    "-", "--", "", " 3", "3_0", "-3", "-1 ", "2", "3", "0", "x", "C1", "C2",
+    "C9", "x,2", "c1=0", "-1*c2", "-1*c1^2 + 4*c2", "-h 1*c2", "-1*c1 = 2",
+    "--x y", "-- 1", "1*c2 + -1/4*c1^2", "params.txt",
+]
+ARGV_TOKENS = [
+    *VALUES,
+    *(flag for _, _, arguments in _COMMANDS.values() for flag, _ in arguments),
+    "--json", "-h", "--help", "--js", "--json=1", "--seed=3", "--set=c1=0", "--fix",
+]
+COMMAND_NAMES = [*_COMMANDS, "no-such-command", "zbas", "", "-", "--json", "-h"]
+# half the values convert to int, so that most argv reach the reader's end
+VALUE_ST = st.one_of(st.sampled_from(["2", "3", " 3", "3_0", "-1 "]), st.sampled_from(VALUES))
+
+
+@st.composite
+def argv_st(draw):
+    """A subcommand's arguments in any order; in half the draws, then up to
+    three tokens inserted, deleted or replaced: extra and missing tokens."""
+    command = draw(st.sampled_from(COMMAND_NAMES))
+    _, _, arguments = _COMMANDS.get(command, (None, None, ()))
+    groups = []
+    for name, keywords in (_JSON, *arguments):
+        if name[0] != "-":
+            groups.append([draw(VALUE_ST)])
+        elif keywords.get("action") == "store_true":
+            groups += [[name]] * draw(st.integers(0, 2))
+        else:
+            for _ in range(draw(st.integers(0, 2))):
+                groups.append([name, draw(VALUE_ST)])
+    tokens = [token for group in draw(st.permutations(groups)) for token in group]
+    for _ in range(max(0, draw(st.integers(-3, 3)))):
+        at = draw(st.integers(0, len(tokens)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if edit != "insert":
+            del tokens[at:at + 1]
+        if edit != "delete":
+            tokens.insert(at, draw(st.sampled_from(ARGV_TOKENS)))
+    return [command, *tokens] if draw(st.integers(0, 50)) else []
+
+
+def _argparse_reads(argv):
+    """argparse's namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        try:
+            return _build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def _benchmark_argv(seeds):
+    """Every argv the derive and classify benchmark workloads run, per seed.
+
+    The workloads are built with their warm-up child and warm-up round
+    replaced by no-ops, so nothing is timed or spawned.
+    """
+    path = list(sys.path)
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("_bench_run", PERFBENCH / "run.py")
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        bench.Derive._spawn = lambda self, commands, trace=False: {}
+        bench.Classify.round = lambda self, tracer: None
+        argvs = []
+        for seed in seeds:
+            argvs += [argv for _, argv, _ in bench.Derive(Random(seed)).commands]
+            argvs += [argv for _, argv, _, _ in bench.Classify(Random(seed)).queries]
+        return argvs
+    finally:
+        # perfbench's flat module names (checks, meter, ...) must not stay
+        sys.path[:] = path
+        for name, module in list(sys.modules.items()):
+            if PERFBENCH in Path(getattr(module, "__file__", None) or "/").parents:
+                del sys.modules[name]
+
+
+class TestCanonicalReader:
+    @settings(deadline=None, max_examples=1500)
+    @given(argv_st())
+    def test_agrees_with_argparse(self, argv):
+        ours = _read_canonical(argv)
+        if ours is None:
+            return
+        theirs = _argparse_reads(argv)
+        assert theirs is not None, argv
+        assert list(vars(ours).items()) == list(vars(theirs).items()), argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["invariance-check", "3", "-123*c1^2 + 456*c2", "--json"],
+            ["aclass", "3", "--set", "c1=0", "--json", "--set", "c2=-1*c1^2"],
+            ["canonicality", "2", "--seed", " 3", "1", "--count", "3_0"],
+            ["universal-bundle", "-", "--condition", "C2", "--witness", "x,2"],
+            ["catalog", "--fixed-det", "params.txt"],
+            ["hom-flag", "1", "2", "-1 "],
+            ["selftest", "--json"],
+        ],
+    )
+    def test_reads_canonical_spellings_like_argparse(self, argv):
+        ours = _read_canonical(argv)
+        assert ours is not None
+        assert list(vars(ours).items()) == list(vars(_argparse_reads(argv)).items())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["zbasis", "2"],
+            ["zbasis", "2", "2", "3"],
+            ["zbasis", "-1", "2"],
+            ["zbasis", "x", "2"],
+            ["zbasis", "--js", "2", "2"],
+            ["zbasis", "2", "2", "-h"],
+            ["invariance-check", "2", "-1*c2"],
+            ["invariance-check", "2", "--", "-1*c2"],
+            ["invariance-check", "2", "-h 1*c2"],
+            ["invariance-check", "2", "-1*c1 = 2"],
+            ["aclass", "2", "--set=c1=0"],
+            ["aclass", "2", "--set"],
+            ["universal-bundle", "-", "--condition", "C9"],
+            ["universal-bundle", "-", "--witness", "--json"],
+        ],
+    )
+    def test_leaves_other_argv_to_argparse(self, argv):
+        assert _read_canonical(argv) is None
+
+    def test_reads_every_benchmark_argv(self):
+        argvs = _benchmark_argv(range(1, 6))
+        assert len(argvs) == 5 * (79 + 34)
+        assert [argv for argv in argvs if _read_canonical(argv) is None] == []

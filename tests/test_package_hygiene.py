@@ -112,6 +112,36 @@ def test_cli_import_leaves_dataclasses_unloaded():
     assert result.stdout == "[]\n"
 
 
+def test_canonical_cli_run_leaves_argparse_unloaded():
+    # a canonical argv is read from the subcommand table; argparse (and the
+    # gettext lookups of building its parser) is only for help and usage errors
+    probe = (
+        "import contextlib, io, sys; from projchar import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['invariance-check', '3', '-1*c1^2 + 3*c2', '--json'])\n"
+        "print(code, 'argparse' in sys.modules, cli._build_parser.cache_info().currsize)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0 False 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream", [(["zbasis"], 2, "stderr"), (["--help"], 0, "stdout")]
+)
+def test_cold_cli_usage_and_help_come_from_argparse(argv, code, stream):
+    probe = f"import sys; from projchar import cli; sys.exit(cli.main({argv!r}))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == code, result.stderr
+    assert getattr(result, stream).startswith("usage: projchar ")
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_imports_dataclasses(path):
     found = []
