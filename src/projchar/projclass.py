@@ -480,18 +480,30 @@ def _end_ring(n: int, j: int) -> ChernRing:
     return ring
 
 
+def _end_vanishes(n: int, j: int) -> bool:
+    """c_j(End) = 0 for odd j (End is self-dual) and for j > n(n-1) (n of
+    its n^2 roots are 0), so these answers need no End class built."""
+    return j % 2 == 1 or j > n * (n - 1)
+
+
 def end_chern(n: int, j: int) -> RationalPoly:
     """c_j of the endomorphism bundle: e_j of the n^2 differences x_a - x_b.
 
-    The cached n^j * c_j(End) expands through z_k(c), then divides by n^j once.
+    A vanishing class is the zero class at once; any other expands the cached
+    n^j * c_j(End) through z_k(c), then divides by n^j once.
     """
     ring = _end_ring(n, j)
+    if _end_vanishes(n, j):
+        return RationalPoly.zero(ring.c_ring)
     return _end_classes(n)[j].substitute(ring._z_in_c, target_ring=ring.c_ring) / n**j
 
 
 def end_in_a(n: int, j: int) -> RationalPoly:
-    """c_j(End) in the canonical z-generators: the cached n^j * c_j(End) / n^j."""
-    _end_ring(n, j)
+    """c_j(End) in the canonical z-generators: the cached n^j * c_j(End) / n^j,
+    or the zero class at once where it vanishes."""
+    ring = _end_ring(n, j)
+    if _end_vanishes(n, j):
+        return RationalPoly.zero(ring.z_ring)
     return _end_classes(n)[j] / n**j
 
 

@@ -164,6 +164,7 @@ class TestIntegralClasses:
         assert classes == cached and [dict(e.terms) for e in cached] == before
 
     def test_each_answer_divides_once_by_n_to_the_j(self, monkeypatch):
+        # a vanishing answer (odd j, or j > n(n-1) = 6) divides by nothing
         divisors = []
         original = RationalPoly.__truediv__
 
@@ -176,7 +177,36 @@ class TestIntegralClasses:
             for answer in (end_in_a, end_chern):
                 divisors.clear()
                 answer(3, j)
-                assert divisors == [3**j], (answer.__name__, j)
+                expected = [] if j % 2 or j > 6 else [3**j]
+                assert divisors == expected, (answer.__name__, j)
+
+
+class TestVanishingClasses:
+    """Odd j and j > n(n-1) answer the zero class without building End."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_same_answers_as_the_full_build(self, n):
+        ring = chern_ring(n)
+        classes = projclass._end_classes(n)
+        for j in range(1, n * n + 1):
+            full_a = classes[j] / n**j
+            full_c = classes[j].substitute(ring._z_in_c, target_ring=ring.c_ring) / n**j
+            assert projclass._end_vanishes(n, j) == full_a.is_zero(), (n, j)
+            for answer, full in ((end_in_a, full_a), (end_chern, full_c)):
+                got = answer(n, j)
+                assert (got, got.to_text(), got.ring) == (full, full.to_text(), full.ring)
+
+    def test_vanishing_answers_build_nothing(self, monkeypatch):
+        def refused(n):
+            raise AssertionError(f"built the End classes of rank {n}")
+
+        monkeypatch.setattr(projclass, "_end_classes", refused)
+        for n, j in ((7, 48), (7, 1), (7, 43), (2, 3), (1, 1)):
+            assert end_chern(n, j).to_text() == "0"
+            assert end_in_a(n, j).to_text() == "0"
+        for answer in (end_chern, end_in_a):
+            with pytest.raises(ValueError, match="j must satisfy 1 <= j <= 49, got 50"):
+                answer(7, 50)
 
 
 class TestLoudFailure:
