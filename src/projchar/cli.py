@@ -5,6 +5,14 @@ output: plain text by default, or with --json a stable document of the form
 {"subcommand", "inputs", "result", "audit"}, where "inputs" echoes every
 parsed argument except --json.  Rational values are rendered as exact "p/q"
 strings, never floats.  Exit codes: 0 success, 1 domain error, 2 usage error.
+
+One table, `_COMMANDS`, describes every subcommand and its arguments.  It
+builds the argparse parser and drives `_read_canonical`, which reads a
+canonical argv (exact subcommand and option strings, plain values, exact
+positional count) into the namespace argparse would build.  Only the other
+argv -- help, usage errors, option prefixes, --opt=value, '--', negative
+numbers -- import argparse and build its parser, which alone writes help and
+usage text.
 """
 
 from __future__ import annotations
@@ -455,7 +463,9 @@ _COMMANDS = {
 
 
 def _is_value(token: str) -> bool:
-    """True when argparse reads token as a value, never as an option string."""
+    """True for the tokens the reader takes as values; argparse reads each of
+    them as a value too (it also reads negative numbers so, which this leaves
+    to it)."""
     if token[:1] != "-" or token == "-":
         return True
     return " " in token and "=" not in token and not token.startswith("-h")
@@ -511,7 +521,7 @@ def _read_canonical(argv: list[str]) -> Optional[SimpleNamespace]:
             value = keywords.get("type", str)(token)
         except ValueError:
             return None
-        if value not in keywords.get("choices", (value,)):
+        if "choices" in keywords and value not in keywords["choices"]:
             return None
         if keywords.get("action") == "append":
             values[dest].append(value)

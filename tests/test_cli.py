@@ -623,5 +623,6 @@ class TestCanonicalReader:
 
     def test_reads_every_benchmark_argv(self):
         argvs = _benchmark_argv(range(1, 6))
-        assert len(argvs) == 5 * (79 + 34)
+        classes = [argv[2] for argv in argvs if argv[0] == "invariance-check"]
+        assert any(text.startswith("-") for text in classes)
         assert [argv for argv in argvs if _read_canonical(argv) is None] == []
